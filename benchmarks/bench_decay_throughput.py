@@ -7,10 +7,11 @@ consumer table and writes it to ``benchmarks/out/decay.txt``.
 This is the acceptance gate of the engine extraction's "inherit batching
 for free" claim: the sliding-window and time-fading sketches hand-roll
 no update loop anymore — they compose a
-:class:`~repro.engine.kernel.SketchKernel` — and on the columnar backend
+:class:`~repro.engine.kernel.SketchKernel` — and on the probing backend
 their ``update_batch`` must sustain at least 3x the updates/sec of their
-own scalar loop (measured ~10-15x), with final kernel state identical in
-both modes (the table builder asserts it).
+own scalar loop (measured at quick scale on a 2-vCPU VM: 29-30x with the
+compiled kernels, 5.0x on the NumPy fallback), with final kernel state
+identical in both modes (the table builder asserts it).
 """
 
 import pytest
@@ -26,8 +27,8 @@ MODES = ("scalar", "batch")
 
 def _make(consumer: str, k: int, seed: int):
     if consumer == "windowed":
-        return SlidingWindowHeavyHitters(k, 4, backend="columnar", seed=seed)
-    return DecayedFrequentItemsSketch(k, half_life=1.0, backend="columnar", seed=seed)
+        return SlidingWindowHeavyHitters(k, 4, backend="probing", seed=seed)
+    return DecayedFrequentItemsSketch(k, half_life=1.0, backend="probing", seed=seed)
 
 
 def _boundary(sketch) -> None:
@@ -85,13 +86,13 @@ def test_decay_report(benchmark, config, write_report):
     write_report("decay", table)
 
     # The acceptance bar of the engine extraction: both re-based
-    # consumers ingest through the kernel's segmented batch path at
-    # >= 3x their own scalar loop on the columnar backend (measured
-    # ~10-15x; the dict-backend rows are reported but not asserted —
-    # grouping alone carries them, at smaller margins).
+    # consumers ingest through the kernel's batch path at >= 3x their
+    # own scalar loop on the probing backend (the dict-backend rows are
+    # reported but not asserted — the inlined loop alone carries them,
+    # at smaller margins).
     for consumer in ("windowed", "decayed"):
         speedup = table.cell(
-            {"consumer": consumer, "backend": "columnar"}, "batch_speedup"
+            {"consumer": consumer, "backend": "probing"}, "batch_speedup"
         )
         assert speedup >= 3.0, (
             f"{consumer} update_batch only {speedup:.2f}x its scalar loop"

@@ -1,16 +1,11 @@
-"""Ingest profile: backend × batch size × skew, with the 4x hash-table gate.
+"""Ingest profile: backend × batch size × skew, with the 4x probing gate.
 
-This is the perf trajectory seeded by the zero-sort/vectorized-backend
-PR: it regenerates the canonical ``BENCH_ingest.json`` at the repo root
-and enforces the acceptance bars —
-
-* probing and robinhood ``update_batch`` >= 4x their own scalar loops on
-  the canonical Zipf α = 1.05 weighted workload (their batch ops are
-  vectorized gather/scatter probe walks now, not per-key fallbacks);
-* columnar ``update_batch`` >= 5x its scalar loop (the PR 1 bar — the
-  zero-sort grouper must not regress the already-fast backend; the
-  absolute throughput lands in the JSON so later PRs can diff against
-  this one within noise).
+This is the perf trajectory: it regenerates the canonical
+``BENCH_ingest.json`` at the repo root (the probing batch throughput
+lands in its gates so later changes can diff against it) and enforces
+the acceptance bar — probing ``update_batch`` >= 4x its own scalar loop
+on the canonical Zipf α = 1.05 weighted workload (10x when the compiled
+kernels are active).
 
 Run directly via pytest, or regenerate the JSON without gates through
 ``python -m repro.bench ingest-profile --quick``.
@@ -39,11 +34,11 @@ def test_ingest_profile(benchmark, config, write_report):
     document = json.loads(JSON_PATH.read_text())
     gates = document["gates"]
     # The acceptance bars.  Measured on one core of a shared CI runner:
-    # with the NumPy paths probing/robinhood land ~8-15x and columnar
-    # ~10x, so 4x/5x leave generous noise margin.  With the compiled
-    # kernels active the hash backends land ~30-50x; gate them at 10x
-    # (the native-PR acceptance bar) so a silently broken dispatch —
-    # falling back to NumPy while claiming native — fails loudly.
+    # with the NumPy paths probing lands ~8-15x, so 4x leaves generous
+    # noise margin.  With the compiled kernels active it lands ~30-50x;
+    # gate it at 10x (the native acceptance bar) so a silently broken
+    # dispatch — falling back to NumPy while claiming native — fails
+    # loudly.
     from repro import native
 
     hash_backend_bar = 10.0 if native.enabled() else 4.0
@@ -51,10 +46,8 @@ def test_ingest_profile(benchmark, config, write_report):
         "native" if native.enabled() else "numpy"
     ), document["metadata"]
     assert gates["probing_batch_speedup_alpha1.05"] >= hash_backend_bar, gates
-    assert gates["robinhood_batch_speedup_alpha1.05"] >= hash_backend_bar, gates
-    assert gates["columnar_batch_speedup_alpha1.05"] >= 5.0, gates
     # The dict backend is scalar-bound (its point ops are already C-coded
-    # dict probes), so batching can't approach the array backends' ratios
+    # dict probes), so batching can't approach the probing table's ratio
     # — but the inlined batch loop must clearly beat per-update dispatch.
     assert gates["dict_batch_speedup_alpha1.05"] >= 1.75, gates
     # Adaptive growth may trail fixed (it pays rehashes early, and its
@@ -71,7 +64,7 @@ def test_ingest_profile(benchmark, config, write_report):
             ), row
 
 
-@pytest.mark.parametrize("backend", ["probing", "robinhood"])
+@pytest.mark.parametrize("backend", ["probing"])
 def test_hash_backend_batch_beats_scalar(benchmark, config, backend):
     """Per-backend pytest-benchmark timing rows (no extra gate here; the
     table test above asserts the ratios from one coherent run)."""

@@ -83,11 +83,11 @@ def test_pipeline_throughput(benchmark, config, num_producers):
     benchmark.extra_info["updates"] = total
 
     # Warm-up outside the timed region.
-    warm = FrequentItemsSketch(k, backend="columnar", seed=0)
+    warm = FrequentItemsSketch(k, backend="probing", seed=0)
     asyncio.run(_run(warm, slices[:2], 1))
 
     def run():
-        sketch = FrequentItemsSketch(k, backend="columnar", seed=config.seed)
+        sketch = FrequentItemsSketch(k, backend="probing", seed=config.seed)
         asyncio.run(_run(sketch, slices, num_producers))
         return sketch
 
@@ -107,9 +107,9 @@ def test_pipeline_throughput(benchmark, config, num_producers):
 def test_service_feed_bit_identical(config):
     slices, _per_producer = _workload(config)
     k = config.k_values[-1]
-    sketch = FrequentItemsSketch(k, backend="columnar", seed=config.seed)
+    sketch = FrequentItemsSketch(k, backend="probing", seed=config.seed)
     asyncio.run(_run(sketch, slices, 1))
-    reference = FrequentItemsSketch(k, backend="columnar", seed=config.seed)
+    reference = FrequentItemsSketch(k, backend="probing", seed=config.seed)
     for items, weights in slices:
         reference.update_batch(items, weights)
     assert sketch.to_bytes() == reference.to_bytes()
@@ -122,16 +122,16 @@ def test_durability_overhead_bounded(benchmark, config, tmp_path):
 
     import time
 
-    warm = FrequentItemsSketch(k, backend="columnar", seed=0)
+    warm = FrequentItemsSketch(k, backend="probing", seed=0)
     asyncio.run(_run(warm, slices[:2], 1))
 
-    plain = FrequentItemsSketch(k, backend="columnar", seed=config.seed)
+    plain = FrequentItemsSketch(k, backend="probing", seed=config.seed)
     start = time.perf_counter()
     asyncio.run(_run(plain, slices, 4))
     plain_seconds = time.perf_counter() - start
 
     def run():
-        sketch = FrequentItemsSketch(k, backend="columnar", seed=config.seed)
+        sketch = FrequentItemsSketch(k, backend="probing", seed=config.seed)
         manager = SnapshotManager(str(tmp_path / "wal"))
         asyncio.run(_run(sketch, slices, 4, snapshots=manager))
         return sketch
@@ -157,12 +157,12 @@ def test_replicated_throughput_gate(benchmark, config):
     total = 4 * per_producer
     benchmark.extra_info["updates"] = total
 
-    warm = FrequentItemsSketch(k, backend="columnar", seed=0)
+    warm = FrequentItemsSketch(k, backend="probing", seed=0)
     asyncio.run(_run(warm, slices[:2], 1))
 
     async def replicated_run():
         leader = IngestPipeline(
-            FrequentItemsSketch(k, backend="columnar", seed=config.seed),
+            FrequentItemsSketch(k, backend="probing", seed=config.seed),
             config=_pipe_config(),
             replication=ReplicationManager(),
         )
@@ -171,7 +171,7 @@ def test_replicated_throughput_gate(benchmark, config):
             async with server:
                 follower_pipe = IngestPipeline(
                     FrequentItemsSketch(
-                        k, backend="columnar", seed=config.seed
+                        k, backend="probing", seed=config.seed
                     ),
                     config=_pipe_config(),
                     replica=True,
@@ -226,14 +226,14 @@ def test_multi_follower_fanout_gate(benchmark, config):
     benchmark.extra_info["updates"] = total
     benchmark.extra_info["followers"] = 2
 
-    warm = FrequentItemsSketch(k, backend="columnar", seed=0)
+    warm = FrequentItemsSketch(k, backend="probing", seed=0)
     asyncio.run(_run(warm, slices[:2], 1))
 
     async def fanout_run():
         from contextlib import AsyncExitStack
 
         leader = IngestPipeline(
-            FrequentItemsSketch(k, backend="columnar", seed=config.seed),
+            FrequentItemsSketch(k, backend="probing", seed=config.seed),
             config=_pipe_config(),
             replication=ReplicationManager(),
         )
@@ -244,7 +244,7 @@ def test_multi_follower_fanout_gate(benchmark, config):
             for _ in range(2):
                 pipe = IngestPipeline(
                     FrequentItemsSketch(
-                        k, backend="columnar", seed=config.seed
+                        k, backend="probing", seed=config.seed
                     ),
                     config=_pipe_config(),
                     replica=True,

@@ -42,7 +42,7 @@ def main() -> None:
     batch_size = 25_000
     rng = np.random.default_rng(7)
 
-    alltime = FrequentItemsSketch(1024, backend="columnar", seed=3)
+    alltime = FrequentItemsSketch(1024, seed=3)
     decayed = DecayedFrequentItemsSketch(1024, half_life=2.0, seed=3)
 
     start = time.perf_counter()

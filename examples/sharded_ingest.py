@@ -6,7 +6,7 @@ Zipf array batches: items are hash-partitioned across shard sketches,
 each shard's sub-batch runs through the vectorized ``update_batch`` path
 on a thread pool, and queries are answered from a merged view assembled
 on demand and cached until the next write.  The script compares the
-sharded sketch against a flat columnar sketch on the same stream —
+sharded sketch against a flat probing sketch on the same stream —
 throughput, decrement-pass counts (the hardware-independent speed
 driver), and heavy-hitter accuracy against exact ground truth.
 
@@ -33,8 +33,8 @@ def main() -> None:
     batches = list(stream.batches(batch_size=16_384))
     total_updates = sum(len(items) for items, _weights in batches)
 
-    # Flat reference: one columnar sketch, one table, one thread.
-    flat = FrequentItemsSketch(k, backend="columnar", seed=7)
+    # Flat reference: one probing sketch, one table, one thread.
+    flat = FrequentItemsSketch(k, seed=7)
     start = time.perf_counter()
     for items, weights in batches:
         flat.update_batch(items, weights)
@@ -57,7 +57,7 @@ def main() -> None:
           f"N = {exact.total_weight:,.0f}")
     print()
     print(f"{'ingest path':<28} {'sec':>8} {'updates/sec':>14} {'decrements':>11}")
-    print(f"{'flat columnar':<28} {flat_seconds:8.3f} "
+    print(f"{'flat probing':<28} {flat_seconds:8.3f} "
           f"{total_updates / flat_seconds:14,.0f} {flat.stats.decrements:11d}")
     print(f"{f'{num_shards} shards (parallel)':<28} {sharded_seconds:8.3f} "
           f"{total_updates / sharded_seconds:14,.0f} "

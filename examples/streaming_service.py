@@ -55,7 +55,7 @@ async def main() -> None:
 
     # -- serve, ingest from concurrent TCP producers, query live -----------
     pipeline = IngestPipeline(
-        FrequentItemsSketch(K, backend="columnar", seed=7),
+        FrequentItemsSketch(K, seed=7),
         config=PipelineConfig(max_batch_items=16_384, flush_interval=0.005,
                               snapshot_every_batches=16),
         snapshots=SnapshotManager(data_dir),

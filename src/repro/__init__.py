@@ -23,7 +23,7 @@ For high-throughput ingestion, feed NumPy array batches instead — the
 result is identical to the scalar loop, state for state:
 
 >>> import numpy as np
->>> batched = FrequentItemsSketch(max_counters=64, backend="columnar", seed=7)
+>>> batched = FrequentItemsSketch(max_counters=64, seed=7)
 >>> batched.update_batch(np.array([1, 2, 1, 3], dtype=np.uint64),
 ...                      np.array([1500.0, 64.0, 1500.0, 576.0]))
 >>> batched.estimate(1)

@@ -12,8 +12,7 @@
  *   - repro.hashing.mixers.fmix64 / hash_u64        -> fmix64, hash_seeded
  *   - repro.prng.xoroshiro.Xoroshiro128PlusPlus     -> xoro_next/xoro_randrange
  *   - repro.table.probing scalar get/add_to/insert  -> lp_find/lp_insert_absent
- *   - repro.table.robinhood scalar walks            -> rh_find/rh_place
- *   - LinearProbingTable/RobinHoodTable purge       -> purge_sweep (the
+ *   - LinearProbingTable purge                      -> purge_sweep (the
  *     canonical ascending backward-shift sweep both NumPy strategies
  *     are proven layout-identical to)
  *   - SampleQuantilePolicy.decrement_value          -> sq_decrement
@@ -152,32 +151,6 @@ lp_find(const uint64_t *tk, const int64_t *ts, uint64_t mask, uint64_t seedmix,
     return 0;
 }
 
-/* Robin Hood lookup with the early exit; charges probes exactly like
- * RobinHoodTable.get / add_to. */
-static inline int
-rh_find(const uint64_t *tk, const int64_t *ts, uint64_t mask, uint64_t seedmix,
-        uint64_t key, uint64_t *slot_out, int64_t *probe_total)
-{
-    uint64_t slot = hash_seeded(key, seedmix) & mask;
-    int64_t distance = 0;
-    int64_t probes = 0;
-    for (;;) {
-        int64_t state = ts[slot];
-        probes += 1;
-        if (state == 0 || state - 1 < distance) {
-            *probe_total += probes;
-            return 0;
-        }
-        if (tk[slot] == key) {
-            *probe_total += probes;
-            *slot_out = slot;
-            return 1;
-        }
-        slot = (slot + 1) & mask;
-        distance += 1;
-    }
-}
-
 /* FCFS insert of a key known to be absent (the ingest path guarantees
  * it: add_to just missed).  Charges probes like the scalar insert. */
 static inline void
@@ -196,61 +169,6 @@ lp_insert_absent(uint64_t *tk, double *tv, int64_t *ts, uint64_t mask,
     tv[slot] = value;
     ts[slot] = (int64_t)((slot - home) & mask) + 1;
     *probe_total += probes + 1;
-}
-
-/* Robin Hood displacement walk (key known absent); charges probes like
- * RobinHoodTable._place. */
-static inline void
-rh_place(uint64_t *tk, double *tv, int64_t *ts, uint64_t mask,
-         uint64_t key, double value, uint64_t home, int64_t *probe_total)
-{
-    uint64_t slot = home;
-    int64_t distance = 0;
-    int64_t probes = 0;
-    for (;;) {
-        int64_t state = ts[slot];
-        probes += 1;
-        if (state == 0) {
-            tk[slot] = key;
-            tv[slot] = value;
-            ts[slot] = distance + 1;
-            *probe_total += probes;
-            return;
-        }
-        int64_t resident_distance = state - 1;
-        if (resident_distance < distance) {
-            uint64_t evicted_key = tk[slot];
-            double evicted_value = tv[slot];
-            tk[slot] = key;
-            tv[slot] = value;
-            ts[slot] = distance + 1;
-            key = evicted_key;
-            value = evicted_value;
-            distance = resident_distance;
-        }
-        slot = (slot + 1) & mask;
-        distance += 1;
-    }
-}
-
-/* Scalar-equivalent insert dispatch for the ingest loop.  The Robin
- * Hood scalar insert runs a duplicate-check get() before placing, and
- * that lookup's probes are charged; the key is absent here, so the
- * check is a guaranteed-miss walk replayed for probe parity only. */
-static inline void
-table_insert_absent(uint64_t *tk, double *tv, int64_t *ts, uint64_t mask,
-                    uint64_t seedmix, int robinhood, uint64_t key,
-                    double value, int64_t *probe_total)
-{
-    if (robinhood) {
-        uint64_t dummy;
-        (void)rh_find(tk, ts, mask, seedmix, key, &dummy, probe_total);
-        rh_place(tk, tv, ts, mask, key, value,
-                 hash_seeded(key, seedmix) & mask, probe_total);
-    }
-    else {
-        lp_insert_absent(tk, tv, ts, mask, seedmix, key, value, probe_total);
-    }
 }
 
 /* ---------------------------------------------------------------------------
@@ -280,23 +198,6 @@ lp_remove_at(uint64_t *tk, double *tv, int64_t *ts, uint64_t mask,
     }
 }
 
-static void
-rh_remove_at(uint64_t *tk, double *tv, int64_t *ts, uint64_t mask,
-             uint64_t slot)
-{
-    ts[slot] = 0;
-    uint64_t previous = slot;
-    uint64_t current = (slot + 1) & mask;
-    while (ts[current] > 1) {
-        tk[previous] = tk[current];
-        tv[previous] = tv[current];
-        ts[previous] = ts[current] - 1;
-        ts[current] = 0;
-        previous = current;
-        current = (current + 1) & mask;
-    }
-}
-
 /* The canonical scalar purge: sweep slots 0..L-1 ascending, removing
  * every non-positive counter with the backward shift and re-examining
  * the slot after each removal (shifting may move another counter in).
@@ -304,19 +205,13 @@ rh_remove_at(uint64_t *tk, double *tv, int64_t *ts, uint64_t mask,
  * toward their homes, so exactly the non-positive counters are freed —
  * the same contract the two vectorized strategies satisfy. */
 static int64_t
-purge_sweep(uint64_t *tk, double *tv, int64_t *ts, uint64_t mask,
-            int robinhood)
+purge_sweep(uint64_t *tk, double *tv, int64_t *ts, uint64_t mask)
 {
     int64_t length = (int64_t)mask + 1;
     int64_t freed = 0;
     for (int64_t slot = 0; slot < length; slot++) {
         while (ts[slot] != 0 && tv[slot] <= 0.0) {
-            if (robinhood) {
-                rh_remove_at(tk, tv, ts, mask, (uint64_t)slot);
-            }
-            else {
-                lp_remove_at(tk, tv, ts, mask, (uint64_t)slot);
-            }
+            lp_remove_at(tk, tv, ts, mask, (uint64_t)slot);
             freed += 1;
         }
     }
@@ -398,9 +293,8 @@ py_get_many(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *keys_o, *tk_o, *tv_o, *ts_o;
     unsigned long long seedmix_ull;
-    int robinhood;
-    if (!PyArg_ParseTuple(args, "OOOOKi", &keys_o, &tk_o, &tv_o, &ts_o,
-                          &seedmix_ull, &robinhood)) {
+    if (!PyArg_ParseTuple(args, "OOOOK", &keys_o, &tk_o, &tv_o, &ts_o,
+                          &seedmix_ull)) {
         return NULL;
     }
     const uint64_t *keys = arr_data(keys_o, NPY_UINT64, 0, "keys");
@@ -425,9 +319,7 @@ py_get_many(PyObject *Py_UNUSED(self), PyObject *args)
     Py_BEGIN_ALLOW_THREADS
     for (npy_intp i = 0; i < n; i++) {
         uint64_t slot;
-        int found = robinhood
-            ? rh_find(tk, ts, mask, seedmix, keys[i], &slot, &probes)
-            : lp_find(tk, ts, mask, seedmix, keys[i], &slot, &probes);
+        int found = lp_find(tk, ts, mask, seedmix, keys[i], &slot, &probes);
         out[i] = found ? tv[slot] : (double)NAN;
     }
     Py_END_ALLOW_THREADS
@@ -440,9 +332,8 @@ py_add_many(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *keys_o, *deltas_o, *tk_o, *tv_o, *ts_o;
     unsigned long long seedmix_ull;
-    int robinhood;
-    if (!PyArg_ParseTuple(args, "OOOOOKi", &keys_o, &deltas_o, &tk_o, &tv_o,
-                          &ts_o, &seedmix_ull, &robinhood)) {
+    if (!PyArg_ParseTuple(args, "OOOOOK", &keys_o, &deltas_o, &tk_o, &tv_o,
+                          &ts_o, &seedmix_ull)) {
         return NULL;
     }
     const uint64_t *keys = arr_data(keys_o, NPY_UINT64, 0, "keys");
@@ -469,9 +360,7 @@ py_add_many(PyObject *Py_UNUSED(self), PyObject *args)
      * vectorized walk does), then scatter — the table is untouched when
      * any key is missing. */
     for (npy_intp i = 0; i < n; i++) {
-        int found = robinhood
-            ? rh_find(tk, ts, mask, seedmix, keys[i], &slots[i], &probes)
-            : lp_find(tk, ts, mask, seedmix, keys[i], &slots[i], &probes);
+        int found = lp_find(tk, ts, mask, seedmix, keys[i], &slots[i], &probes);
         if (!found && missing < 0) {
             missing = i;
         }
@@ -492,9 +381,8 @@ py_insert_many(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *keys_o, *values_o, *tk_o, *tv_o, *ts_o;
     unsigned long long seedmix_ull;
-    int robinhood;
-    if (!PyArg_ParseTuple(args, "OOOOOKi", &keys_o, &values_o, &tk_o, &tv_o,
-                          &ts_o, &seedmix_ull, &robinhood)) {
+    if (!PyArg_ParseTuple(args, "OOOOOK", &keys_o, &values_o, &tk_o, &tv_o,
+                          &ts_o, &seedmix_ull)) {
         return NULL;
     }
     const uint64_t *keys = arr_data(keys_o, NPY_UINT64, 0, "keys");
@@ -513,120 +401,57 @@ py_insert_many(PyObject *Py_UNUSED(self), PyObject *args)
     uint64_t duplicate_key = 0;
     int duplicate = 0;
 
-    if (robinhood) {
-        /* Simulate the displacement walks on copies (the NumPy slow
-         * path simulates on Python lists), then commit — a duplicate
-         * leaves the table untouched. */
-        int64_t *scopy = PyMem_Malloc((size_t)length * sizeof(int64_t));
-        uint64_t *kcopy = PyMem_Malloc((size_t)length * sizeof(uint64_t));
-        double *vcopy = PyMem_Malloc((size_t)length * sizeof(double));
-        if (scopy == NULL || kcopy == NULL || vcopy == NULL) {
-            PyMem_Free(scopy);
-            PyMem_Free(kcopy);
-            PyMem_Free(vcopy);
-            return PyErr_NoMemory();
-        }
-        Py_BEGIN_ALLOW_THREADS
-        memcpy(scopy, ts, (size_t)length * sizeof(int64_t));
-        memcpy(kcopy, tk, (size_t)length * sizeof(uint64_t));
-        memcpy(vcopy, tv, (size_t)length * sizeof(double));
-        for (npy_intp j = 0; j < n && !duplicate; j++) {
-            uint64_t key = keys[j];
-            double value = values[j];
-            uint64_t slot = hash_seeded(key, seedmix) & mask;
-            int64_t distance = 0;
-            for (;;) {
-                int64_t state = scopy[slot];
-                probes += 1;
-                if (state == 0) {
-                    kcopy[slot] = key;
-                    vcopy[slot] = value;
-                    scopy[slot] = distance + 1;
-                    break;
-                }
-                if (kcopy[slot] == key) {
-                    duplicate = 1;
-                    duplicate_key = key;
-                    break;
-                }
-                int64_t resident_distance = state - 1;
-                if (resident_distance < distance) {
-                    uint64_t evicted_key = kcopy[slot];
-                    double evicted_value = vcopy[slot];
-                    kcopy[slot] = key;
-                    vcopy[slot] = value;
-                    scopy[slot] = distance + 1;
-                    key = evicted_key;
-                    value = evicted_value;
-                    distance = resident_distance;
-                }
-                slot = (slot + 1) & mask;
-                distance += 1;
-            }
-        }
-        if (!duplicate) {
-            memcpy(ts, scopy, (size_t)length * sizeof(int64_t));
-            memcpy(tk, kcopy, (size_t)length * sizeof(uint64_t));
-            memcpy(tv, vcopy, (size_t)length * sizeof(double));
-        }
-        Py_END_ALLOW_THREADS
-        PyMem_Free(scopy);
-        PyMem_Free(kcopy);
-        PyMem_Free(vcopy);
-    }
-    else {
-        /* FCFS placement depends only on occupancy: walk an occupancy
-         * overlay, record the placements, scatter on success. */
-        char *occ = PyMem_Malloc((size_t)length);
-        uint64_t *kcopy = PyMem_Malloc((size_t)length * sizeof(uint64_t));
-        uint64_t *pos = PyMem_Malloc((size_t)(n > 0 ? n : 1) * sizeof(uint64_t));
-        int64_t *dist = PyMem_Malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
-        if (occ == NULL || kcopy == NULL || pos == NULL || dist == NULL) {
-            PyMem_Free(occ);
-            PyMem_Free(kcopy);
-            PyMem_Free(pos);
-            PyMem_Free(dist);
-            return PyErr_NoMemory();
-        }
-        Py_BEGIN_ALLOW_THREADS
-        for (int64_t slot = 0; slot < length; slot++) {
-            occ[slot] = ts[slot] != 0;
-        }
-        memcpy(kcopy, tk, (size_t)length * sizeof(uint64_t));
-        for (npy_intp j = 0; j < n && !duplicate; j++) {
-            uint64_t key = keys[j];
-            uint64_t home = hash_seeded(key, seedmix) & mask;
-            uint64_t slot = home;
-            while (occ[slot]) {
-                if (kcopy[slot] == key) {
-                    duplicate = 1;
-                    duplicate_key = key;
-                    break;
-                }
-                slot = (slot + 1) & mask;
-            }
-            if (duplicate) {
-                break;
-            }
-            occ[slot] = 1;
-            kcopy[slot] = key;
-            pos[j] = slot;
-            dist[j] = (int64_t)((slot - home) & mask);
-        }
-        if (!duplicate) {
-            for (npy_intp j = 0; j < n; j++) {
-                tk[pos[j]] = keys[j];
-                tv[pos[j]] = values[j];
-                ts[pos[j]] = dist[j] + 1;
-                probes += dist[j] + 1;
-            }
-        }
-        Py_END_ALLOW_THREADS
+    /* FCFS placement depends only on occupancy: walk an occupancy
+     * overlay, record the placements, scatter on success. */
+    char *occ = PyMem_Malloc((size_t)length);
+    uint64_t *kcopy = PyMem_Malloc((size_t)length * sizeof(uint64_t));
+    uint64_t *pos = PyMem_Malloc((size_t)(n > 0 ? n : 1) * sizeof(uint64_t));
+    int64_t *dist = PyMem_Malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
+    if (occ == NULL || kcopy == NULL || pos == NULL || dist == NULL) {
         PyMem_Free(occ);
         PyMem_Free(kcopy);
         PyMem_Free(pos);
         PyMem_Free(dist);
+        return PyErr_NoMemory();
     }
+    Py_BEGIN_ALLOW_THREADS
+    for (int64_t slot = 0; slot < length; slot++) {
+        occ[slot] = ts[slot] != 0;
+    }
+    memcpy(kcopy, tk, (size_t)length * sizeof(uint64_t));
+    for (npy_intp j = 0; j < n && !duplicate; j++) {
+        uint64_t key = keys[j];
+        uint64_t home = hash_seeded(key, seedmix) & mask;
+        uint64_t slot = home;
+        while (occ[slot]) {
+            if (kcopy[slot] == key) {
+                duplicate = 1;
+                duplicate_key = key;
+                break;
+            }
+            slot = (slot + 1) & mask;
+        }
+        if (duplicate) {
+            break;
+        }
+        occ[slot] = 1;
+        kcopy[slot] = key;
+        pos[j] = slot;
+        dist[j] = (int64_t)((slot - home) & mask);
+    }
+    if (!duplicate) {
+        for (npy_intp j = 0; j < n; j++) {
+            tk[pos[j]] = keys[j];
+            tv[pos[j]] = values[j];
+            ts[pos[j]] = dist[j] + 1;
+            probes += dist[j] + 1;
+        }
+    }
+    Py_END_ALLOW_THREADS
+    PyMem_Free(occ);
+    PyMem_Free(kcopy);
+    PyMem_Free(pos);
+    PyMem_Free(dist);
 
     if (duplicate) {
         PyErr_Format(PyExc_ValueError,
@@ -641,8 +466,7 @@ static PyObject *
 py_purge_nonpositive(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *tk_o, *tv_o, *ts_o;
-    int robinhood;
-    if (!PyArg_ParseTuple(args, "OOOi", &tk_o, &tv_o, &ts_o, &robinhood)) {
+    if (!PyArg_ParseTuple(args, "OOO", &tk_o, &tv_o, &ts_o)) {
         return NULL;
     }
     uint64_t *tk = arr_data(tk_o, NPY_UINT64, 1, "table keys");
@@ -655,7 +479,7 @@ py_purge_nonpositive(PyObject *Py_UNUSED(self), PyObject *args)
     int64_t freed;
 
     Py_BEGIN_ALLOW_THREADS
-    freed = purge_sweep(tk, tv, ts, mask, robinhood);
+    freed = purge_sweep(tk, tv, ts, mask);
     Py_END_ALLOW_THREADS
 
     return PyLong_FromLongLong((long long)freed);
@@ -671,11 +495,10 @@ py_ingest_batch(PyObject *Py_UNUSED(self), PyObject *args)
     PyObject *items_o, *weights_o, *tk_o, *tv_o, *ts_o;
     long long size_ll, capacity_ll, sample_size_ll;
     unsigned long long seedmix_ull, s0_ull, s1_ull;
-    int robinhood;
     double offset, quantile;
-    if (!PyArg_ParseTuple(args, "OOOOOLLKiKKddL", &items_o, &weights_o, &tk_o,
+    if (!PyArg_ParseTuple(args, "OOOOOLLKKKddL", &items_o, &weights_o, &tk_o,
                           &tv_o, &ts_o, &size_ll, &capacity_ll, &seedmix_ull,
-                          &robinhood, &s0_ull, &s1_ull, &offset, &quantile,
+                          &s0_ull, &s1_ull, &offset, &quantile,
                           &sample_size_ll)) {
         return NULL;
     }
@@ -714,17 +537,13 @@ py_ingest_batch(PyObject *Py_UNUSED(self), PyObject *args)
         uint64_t key = items[i];
         double weight = weights[i];
         uint64_t slot;
-        int found = robinhood
-            ? rh_find(tk, ts, mask, seedmix, key, &slot, &probes)
-            : lp_find(tk, ts, mask, seedmix, key, &slot, &probes);
-        if (found) {
+        if (lp_find(tk, ts, mask, seedmix, key, &slot, &probes)) {
             tv[slot] += weight;
             hits += 1;
             continue;
         }
         if (size < capacity) {
-            table_insert_absent(tk, tv, ts, mask, seedmix, robinhood, key,
-                                weight, &probes);
+            lp_insert_absent(tk, tv, ts, mask, seedmix, key, weight, &probes);
             size += 1;
             inserts += 1;
             continue;
@@ -739,14 +558,14 @@ py_ingest_batch(PyObject *Py_UNUSED(self), PyObject *args)
                 tv[s] += neg;
             }
         }
-        int64_t freed = purge_sweep(tk, tv, ts, mask, robinhood);
+        int64_t freed = purge_sweep(tk, tv, ts, mask);
         size -= freed;
         freed_total += freed;
         decrements += 1;
         offset += c_star;
         if (weight > c_star) {
-            table_insert_absent(tk, tv, ts, mask, seedmix, robinhood, key,
-                                weight - c_star, &probes);
+            lp_insert_absent(tk, tv, ts, mask, seedmix, key, weight - c_star,
+                             &probes);
             size += 1;
             inserts += 1;
         }

@@ -417,11 +417,11 @@ def ablation_backend(config: BenchConfig) -> ResultTable:
     stream = packet_stream(config)
     exact = packet_exact(config)
     table = ResultTable(
-        "Ablation: probing table (paper layout) vs Robin Hood vs CPython dict",
+        "Ablation: probing table (paper layout) vs CPython dict",
         ["backend", "k", "seconds", "max_error", "probes_per_update"],
     )
     for k in config.k_values[-2:]:
-        for backend in ("probing", "robinhood", "dict"):
+        for backend in ("probing", "dict"):
             sketch = make_smed(k, seed=config.seed, backend=backend)
             seconds = time_feed(sketch, stream)
             probes = (
@@ -462,7 +462,7 @@ def batch_throughput_table(config: BenchConfig) -> ResultTable:
     # Warm-up: one small feed per path pulls NumPy's lazily imported
     # submodules (np.insert -> numpy.ma, ...) out of the timed regions.
     warm_items, warm_weights = batches[0]
-    warmup = FrequentItemsSketch(max(2, k // 8), backend="columnar", seed=0)
+    warmup = FrequentItemsSketch(max(2, k // 8), seed=0)
     warmup.update_batch(warm_items[:256], warm_weights[:256])
     table = ResultTable(
         f"Batch ingestion engine: scalar vs batched updates/sec "
@@ -474,7 +474,7 @@ def batch_throughput_table(config: BenchConfig) -> ResultTable:
         ],
     )
     results = []
-    for backend in ("dict", "probing", "robinhood", "columnar"):
+    for backend in ("probing", "dict"):
         scalar = FrequentItemsSketch(k, backend=backend, seed=config.seed)
         scalar_seconds = time_feed(scalar, stream)
         batched = FrequentItemsSketch(k, backend=backend, seed=config.seed)
@@ -510,7 +510,7 @@ def decay_throughput_table(config: BenchConfig) -> ResultTable:
     with the slice/tick boundary placed at every batch in both runs.
     Final kernel state is asserted identical, so ``batch_speedup``
     measures packaging, not semantics.  The acceptance gate (enforced in
-    ``benchmarks/bench_decay_throughput.py``) is >= 3x on the columnar
+    ``benchmarks/bench_decay_throughput.py``) is >= 3x on the probing
     backend for both consumers.
     """
     import numpy as np
@@ -583,7 +583,7 @@ def decay_throughput_table(config: BenchConfig) -> ResultTable:
         ],
     )
     for name, make_pair in (("windowed", windowed_pair), ("decayed", decayed_pair)):
-        for backend in ("dict", "columnar"):
+        for backend in ("probing", "dict"):
             scalar, batched = make_pair(backend)
             start = time.perf_counter()
             for slice_updates in scalar_slices:
@@ -749,9 +749,9 @@ def bounds_table(config: BenchConfig, backend: str = "dict") -> ResultTable:
 
 
 def sharded_throughput_table(config: BenchConfig) -> ResultTable:
-    """Sharded parallel ingest vs the flat columnar backend.
+    """Sharded parallel ingest vs the flat probing backend.
 
-    The Section 4.5 Zipf workload is fed once through the flat columnar
+    The Section 4.5 Zipf workload is fed once through the flat probing
     ``update_batch`` path and once per shard count through
     :class:`~repro.sharded.sketch.ShardedFrequentItemsSketch`.  The
     sketch is sized like a deployment — ``k`` within a small factor of
@@ -792,13 +792,13 @@ def sharded_throughput_table(config: BenchConfig) -> ResultTable:
         return best_seconds, best_result
 
     def feed_flat() -> FrequentItemsSketch:
-        sketch = FrequentItemsSketch(k, backend="columnar", seed=config.seed)
+        sketch = FrequentItemsSketch(k, seed=config.seed)
         for items, weights in batches:
             sketch.update_batch(items, weights)
         return sketch
 
     table = ResultTable(
-        f"Sharded parallel ingest vs flat columnar (Zipf 1.05, k={k})",
+        f"Sharded parallel ingest vs flat probing (Zipf 1.05, k={k})",
         [
             "mode", "shards", "k", "sec", "per_sec",
             "speedup_vs_flat", "decrements", "max_error",
@@ -883,7 +883,7 @@ def ingest_profile_rows(
         )
         n = len(stream)
         all_items, all_weights = profile_arrays(config, alpha)
-        for backend in ("dict", "probing", "robinhood", "columnar"):
+        for backend in ("probing", "dict"):
             scalar = FrequentItemsSketch(k, backend=backend, seed=config.seed)
             scalar_seconds = time_feed(scalar, stream)
             scalar_blob = scalar.to_bytes()
@@ -936,16 +936,16 @@ def ingest_profile_table(
     size, and ``update_batch`` on an adaptive-growth sketch — and the
     scalar/batch states are asserted identical so the numbers measure
     packaging, not semantics.  When ``json_path`` is given the full
-    sweep (plus the gate figures the CI smoke job enforces: probing and
-    robinhood batch >= 4x their scalar loops on the canonical α = 1.05
-    workload, columnar batch throughput recorded for cross-PR
-    comparison) is written as one JSON document.
+    sweep (plus the gate figures the CI smoke job enforces: probing
+    batch >= 4x its scalar loop on the canonical α = 1.05 workload,
+    probing batch throughput recorded for cross-PR comparison) is
+    written as one JSON document.
     """
     k = config.k_values[-1]
     # Warm-up pulls NumPy's lazily imported submodules out of timed code.
     # (The generated batches are cached and reused by the alpha = 1.05
     # iteration of the sweep below, so nothing is generated twice.)
-    warmup = FrequentItemsSketch(max(2, k // 8), backend="columnar", seed=0)
+    warmup = FrequentItemsSketch(max(2, k // 8), seed=0)
     warmup.update_batch(*zipf_weighted_batches(
         config.num_updates, config.unique_sources, 1.05, config.seed
     )[0])
@@ -982,13 +982,11 @@ def ingest_profile_table(
             "rows": rows,
             "gates": {
                 "probing_batch_speedup_alpha1.05": best_speedup("probing"),
-                "robinhood_batch_speedup_alpha1.05": best_speedup("robinhood"),
-                "columnar_batch_speedup_alpha1.05": best_speedup("columnar"),
                 "dict_batch_speedup_alpha1.05": best_speedup("dict"),
-                "columnar_batch_per_sec_alpha1.05": max(
+                "probing_batch_per_sec_alpha1.05": max(
                     row["batch_per_sec"]
                     for row in rows
-                    if row["backend"] == "columnar" and row["alpha"] == 1.05
+                    if row["backend"] == "probing" and row["alpha"] == 1.05
                 ),
             },
         }
@@ -1126,7 +1124,7 @@ def failover_mttr_metrics(seed: int = 2016) -> dict:
 
         for node_id in node_ids:
             pipelines[node_id] = IngestPipeline(
-                FrequentItemsSketch(k, backend="columnar", seed=seed),
+                FrequentItemsSketch(k, seed=seed),
                 config=pipe_config,
                 snapshots=SnapshotManager(f"{root}/{node_id}"),
                 replication=ReplicationManager(repl_config),
@@ -1272,7 +1270,7 @@ def serve_throughput_table(
     first submit to full drain, so the figure is *applied* updates/sec,
     queue overhead included.  The configurations:
 
-    * ``pipeline-1p`` / ``pipeline-4p`` — flat columnar sketch, 1 vs 4
+    * ``pipeline-1p`` / ``pipeline-4p`` — flat probing sketch, 1 vs 4
       producers (the 4-producer row is the CI gate: >= 1M updates/sec).
     * ``pipeline-4p-sharded`` — the 4-shard sketch behind the pipeline.
     * ``pipeline-4p-wal`` — durability on: every micro-batch WAL-logged
@@ -1340,7 +1338,7 @@ def serve_throughput_table(
         from repro.service.replication import FollowerService, ReplicationManager
 
         leader = IngestPipeline(
-            FrequentItemsSketch(k, backend="columnar", seed=config.seed),
+            FrequentItemsSketch(k, seed=config.seed),
             config=pipe_config,
             replication=ReplicationManager(),
         )
@@ -1350,9 +1348,7 @@ def serve_throughput_table(
             followers = []
             for _ in range(num_followers):
                 follower_pipe = IngestPipeline(
-                    FrequentItemsSketch(
-                        k, backend="columnar", seed=config.seed
-                    ),
+                    FrequentItemsSketch(k, seed=config.seed),
                     config=pipe_config,
                     replica=True,
                 )
@@ -1436,7 +1432,7 @@ def serve_throughput_table(
 
     # Warm-up (numpy lazy imports + asyncio machinery out of timed code).
     async def warm_up():
-        warm = FrequentItemsSketch(max(2, k // 8), backend="columnar", seed=0)
+        warm = FrequentItemsSketch(max(2, k // 8), seed=0)
         pipeline = IngestPipeline(warm, config=pipe_config)
         warm_items, warm_weights = producer_slices[0]
         async with pipeline:
@@ -1469,21 +1465,21 @@ def serve_throughput_table(
         table.add_row(**row)
 
     # pipeline-1p, asserted bit-identical to the direct feed.
-    sketch = FrequentItemsSketch(k, backend="columnar", seed=config.seed)
+    sketch = FrequentItemsSketch(k, seed=config.seed)
     seconds, total, pipeline = asyncio.run(run_pipeline(sketch, 1))
-    reference = FrequentItemsSketch(k, backend="columnar", seed=config.seed)
+    reference = FrequentItemsSketch(k, seed=config.seed)
     for part_items, part_weights in producer_slices:
         reference.update_batch(part_items, part_weights)
     if sketch.to_bytes() != reference.to_bytes():  # pragma: no cover
         raise AssertionError("service feed diverged from direct update_batch")
     record("pipeline-1p", 1, seconds, total, pipeline)
 
-    sketch = FrequentItemsSketch(k, backend="columnar", seed=config.seed)
+    sketch = FrequentItemsSketch(k, seed=config.seed)
     seconds, total, pipeline = asyncio.run(run_pipeline(sketch, 4))
     record("pipeline-4p", 4, seconds, total, pipeline)
 
     sharded = ShardedFrequentItemsSketch(
-        k, num_shards=4, seed=config.seed, backend="columnar"
+        k, num_shards=4, seed=config.seed
     )
     seconds, total, pipeline = asyncio.run(run_pipeline(sharded, 4))
     sharded.close()
@@ -1491,7 +1487,7 @@ def serve_throughput_table(
 
     wal_dir = tempfile.mkdtemp(prefix="repro-bench-wal-")
     try:
-        sketch = FrequentItemsSketch(k, backend="columnar", seed=config.seed)
+        sketch = FrequentItemsSketch(k, seed=config.seed)
         seconds, total, pipeline = asyncio.run(
             run_pipeline(sketch, 4, snapshots=SnapshotManager(wal_dir))
         )
@@ -1510,7 +1506,7 @@ def serve_throughput_table(
     )
     record("pipeline-4p-repl2", 4, seconds, total, pipeline)
 
-    sketch = FrequentItemsSketch(k, backend="columnar", seed=config.seed)
+    sketch = FrequentItemsSketch(k, seed=config.seed)
     seconds, total, pipeline = asyncio.run(run_tcp(sketch))
     record("tcp-bin", 1, seconds, total, pipeline)
 

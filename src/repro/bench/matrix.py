@@ -53,7 +53,7 @@ POLICY_QUANTILES = {"smed": 0.5, "smin": 0.0}
 class MatrixSpec:
     """One declared experiment matrix (the cross product of its axes)."""
 
-    backends: tuple[str, ...] = ("dict", "probing", "robinhood", "columnar")
+    backends: tuple[str, ...] = ("probing", "dict")
     policies: tuple[str, ...] = ("smed", "smin")
     alphas: tuple[float, ...] = (0.8, 1.05, 1.3)
     k_values: tuple[int, ...] = field(default=())  # empty = config.k_values
@@ -94,7 +94,7 @@ class MatrixSpec:
 #: The full matrix (overnight scale) and the CI-sized ``--quick`` subset.
 FULL_MATRIX = MatrixSpec()
 QUICK_MATRIX = MatrixSpec(
-    backends=("probing", "columnar"),
+    backends=("probing", "dict"),
     policies=("smed",),
     alphas=(1.05,),
     growth_modes=("fixed", "adaptive"),

@@ -253,7 +253,7 @@ class ExperimentResults:
         """Throughput across history: seed BENCH documents, then runs.
 
         The seed points come first — ``BENCH_ingest.json``'s canonical
-        columnar batch rate and ``BENCH_serve.json``'s 4-producer
+        probing batch rate and ``BENCH_serve.json``'s 4-producer
         pipeline rate — then one point per matrix run and backend (the
         best cell at the canonical skew), so a regression shows up as a
         dip at the right edge of the rendered chart.
@@ -262,7 +262,7 @@ class ExperimentResults:
         ingest = self.ingest_document
         if ingest is not None:
             gates = ingest.get("gates", {})
-            rate = gates.get("columnar_batch_per_sec_alpha1.05")
+            rate = gates.get("probing_batch_per_sec_alpha1.05")
             if rate is not None:
                 rows.append(
                     {
@@ -270,7 +270,7 @@ class ExperimentResults:
                         "run_id": "seed:ingest",
                         "timestamp_utc": None,
                         "git_hash": None,
-                        "metric": "columnar_batch_per_sec",
+                        "metric": "probing_batch_per_sec",
                         "updates_per_sec": rate,
                         "ingest_path": (ingest.get("metadata") or {}).get(
                             "ingest_path"

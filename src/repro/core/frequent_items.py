@@ -358,7 +358,7 @@ class FrequentItemsSketch:
         Examples
         --------
         >>> import numpy as np
-        >>> sketch = FrequentItemsSketch(64, backend="columnar")
+        >>> sketch = FrequentItemsSketch(64)
         >>> sketch.update_batch(np.array([7, 8, 7], dtype=np.uint64),
         ...                     np.array([1.0, 3.0, 1.0]))
         >>> sketch.estimate(7), sketch.stream_weight

@@ -14,7 +14,8 @@ field        bytes  meaning
 ===========  =====  ====================================================
 magic        4      ``b"RFI1"``
 k            4      uint32 ``max_counters``
-backend      1      0 = probing, 1 = dict, 2 = robinhood, 3 = columnar;
+backend      1      0 = probing, 1 = dict (2 = robinhood and 3 = columnar
+                    are retired and decode as probing);
                     bit 7 (0x80) set = adaptive table growth
 policy kind  1      0 = sample-quantile, 1 = exact-kth, 2 = global-min
 policy p     8      float64 quantile / fraction (0 for global-min)
@@ -53,6 +54,7 @@ from repro.core.policies import (
 )
 from repro.engine.kernel import SketchKernel
 from repro.errors import ReproError, SerializationError
+from repro.table import loadable_backend
 
 _MAGIC = b"RFI1"
 _HEADER = struct.Struct("<4sIBBdIQddI")
@@ -64,8 +66,9 @@ _SHARDED_VERSION = 1
 _SHARDED_HEADER = struct.Struct("<4sBIQdd")
 _FRAME_LENGTH = struct.Struct("<I")
 
-_BACKEND_CODES = {"probing": 0, "dict": 1, "robinhood": 2, "columnar": 3}
-_BACKEND_NAMES = {code: name for name, code in _BACKEND_CODES.items()}
+_BACKEND_CODES = {"probing": 0, "dict": 1}
+#: Every backend code ever written, retired ones included.
+_BACKEND_NAMES = {0: "probing", 1: "dict", 2: "robinhood", 3: "columnar"}
 
 #: High bit of the backend byte: set when the counter table uses
 #: adaptive (doubling) growth.  Default-mode blobs are byte-identical to
@@ -170,6 +173,7 @@ def sketch_from_bytes(blob: bytes) -> FrequentItemsSketch:
     backend = _BACKEND_NAMES.get(backend_code & ~_ADAPTIVE_GROWTH_FLAG)
     if backend is None:
         raise SerializationError(f"unknown backend code {backend_code}")
+    backend = loadable_backend(backend)
     expected = _HEADER.size + count * _RECORD.size
     if len(blob) != expected:
         raise SerializationError(
@@ -187,9 +191,8 @@ def sketch_from_bytes(blob: bytes) -> FrequentItemsSketch:
         items = np.empty(0, dtype=np.uint64)
         counts = np.empty(0, dtype=np.float64)
     # The kernel's one shared reconstruction path (also used by copy()):
-    # bulk insert preserves record order on order-sensitive layouts and
-    # is vectorized on the columnar backend; the PRNG restarts from the
-    # stored seed.
+    # bulk insert preserves record order on order-sensitive layouts; the
+    # PRNG restarts from the stored seed.
     try:
         kernel = SketchKernel.restore(
             k, policy, backend, seed, items, counts, offset, weight, growth=growth

@@ -25,7 +25,7 @@ bytes.  Queries over a kernel live in
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from repro.native import seed_mix, table_kernels
 from repro.prng import Xoroshiro128PlusPlus
 from repro.table import GROWTH_MODES, make_store
 from repro.table.base import CounterStore
-from repro.table.columnar import ColumnarCounterStore
 from repro.table.dictstore import DictCounterStore
 from repro.types import ItemId
 
@@ -310,9 +309,9 @@ class SketchKernel:
             # backend; inline the scalar loop over raw dict ops instead.
             self._ingest_batch_dict_fast(items, weights)
             return
-        native = self._native_ingest_spec()
-        if native is not None:
-            self._ingest_batch_native(items, weights, *native)
+        kernels = self._native_kernels()
+        if kernels is not None:
+            self._ingest_batch_native(items, weights, kernels)
             return
         grouper = self._grouper
         if grouper is None:
@@ -325,8 +324,7 @@ class SketchKernel:
             # hot path for deserialization, merge into a fresh sketch,
             # and the first batch on each shard of a sharded ingest.
             # ``uniq`` is already in first-occurrence order — exactly the
-            # scalar insert sequence for order-sensitive layouts (the
-            # sorted columnar layout is order-independent anyway).
+            # scalar insert sequence for order-sensitive layouts.
             sums = np.bincount(inverse, weights=weights, minlength=num_groups)
             store.insert_many(uniq, sums)
             stats.updates += n
@@ -421,8 +419,8 @@ class SketchKernel:
 
     # -- native (compiled) ingestion ------------------------------------------
 
-    def _native_ingest_spec(self) -> Optional[tuple]:
-        """``(kernels, robinhood)`` when the whole ingest loop can run in C.
+    def _native_kernels(self) -> Any:
+        """The kernels module when the whole ingest loop can run in C.
 
         Requires the stock sampled-quantile policy with the ``"auto"``
         selector (the compiled decrement replicates exactly that order
@@ -435,7 +433,7 @@ class SketchKernel:
         return table_kernels(self.store)
 
     def _ingest_batch_native(
-        self, items: np.ndarray, weights: np.ndarray, kernels, robinhood: int
+        self, items: np.ndarray, weights: np.ndarray, kernels
     ) -> None:
         """Run the scalar :meth:`ingest` loop over the batch in C.
 
@@ -471,7 +469,6 @@ class SketchKernel:
             store._size,
             self.k,
             seed_mix(store._seed),
-            robinhood,
             s0,
             s1,
             self.offset,
@@ -564,14 +561,10 @@ class SketchKernel:
             entries = [entries[index] for index in order]
         if isinstance(self.store, DictCounterStore):
             self._merge_entries_dict_fast(entries)
-        elif entries and (
-            isinstance(self.store, ColumnarCounterStore)
-            or self._native_ingest_spec() is not None
-        ):
+        elif entries and self._native_kernels() is not None:
             # The batch ingest is defined to equal the per-entry loop;
-            # on the columnar store it replaces per-entry O(k) insert
-            # shifts with bulk sorted merges, and on native-servable
-            # probing tables the whole replay runs in C.
+            # on native-servable probing tables the whole replay runs
+            # in C.
             self.ingest_batch(
                 np.array([item for item, _count in entries], dtype=np.uint64),
                 np.array([count for _item, count in entries], dtype=np.float64),

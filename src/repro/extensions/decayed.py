@@ -68,8 +68,7 @@ class DecayedFrequentItemsSketch:
         Time (in :meth:`tick` units) for an update's influence to halve.
         ``math.inf`` disables decay, reducing to the plain sketch.
     policy, backend, seed:
-        Forwarded to the kernel.  ``"columnar"`` (the default here) is
-        the batch-ingest fast path.
+        Forwarded to the kernel.
 
     Examples
     --------
@@ -88,7 +87,7 @@ class DecayedFrequentItemsSketch:
         max_counters: int,
         half_life: float,
         policy: Optional[DecrementPolicy] = None,
-        backend: str = "columnar",
+        backend: str = "probing",
         seed: int = 0,
     ) -> None:
         if not half_life > 0.0:

@@ -45,8 +45,8 @@ _env_enabled = os.environ.get("REPRO_NATIVE", "1") != "0"
 #: Runtime override installed by :func:`use_native`; ``None`` = env rules.
 _forced: Optional[bool] = None
 
-#: Exact table classes the kernels understand -> robinhood flag (0/1).
-_TABLE_FLAVORS: dict[type, int] = {}
+#: Exact table classes the kernels understand.
+_NATIVE_TABLES: set[type] = set()
 
 
 def available() -> bool:
@@ -82,30 +82,26 @@ def kernels_if_enabled() -> Any:
     return None
 
 
-def register_table(cls: type, robinhood: int) -> None:
+def register_table(cls: type) -> None:
     """Declare ``cls`` (exactly — not subclasses) native-servable."""
-    _TABLE_FLAVORS[cls] = robinhood
+    _NATIVE_TABLES.add(cls)
 
 
-def table_flavor(cls: type) -> Optional[int]:
-    """The robinhood flag for an exactly-registered class, else ``None``."""
-    return _TABLE_FLAVORS.get(cls)
-
-
-def table_kernels(store: Any) -> Optional[tuple[Any, int]]:
-    """``(kernels, robinhood_flag)`` when ``store`` may go native.
+def table_kernels(store: Any) -> Any:
+    """The kernels module when ``store`` may go native, else ``None``.
 
     ``None`` when the extension is missing/disabled, the class is not
     exactly a registered one, or the table can still grow (its staged
     rehash machinery is Python-owned).
     """
     kernels = kernels_if_enabled()
-    if kernels is None:
+    if (
+        kernels is None
+        or type(store) not in _NATIVE_TABLES
+        or store._insertion_log is not None
+    ):
         return None
-    flavor = _TABLE_FLAVORS.get(type(store))
-    if flavor is None or store._insertion_log is not None:
-        return None
-    return kernels, flavor
+    return kernels
 
 
 def seed_mix(seed: int) -> int:

@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(a DR / observer replica)",
     )
     parser.add_argument("--k", type=int, default=4096, help="counters per sketch")
-    parser.add_argument("--backend", choices=sorted(BACKEND_NAMES), default="columnar")
+    parser.add_argument("--backend", choices=sorted(BACKEND_NAMES), default="probing")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--shards", type=int, default=0,

@@ -58,6 +58,7 @@ from repro.service.snapshot import SnapshotManager, decode_snapshot, encode_snap
 from repro.sharded.partition import shard_ids, shard_of
 from repro.sharded.sketch import _shard_seed
 from repro.streams.model import as_batch
+from repro.table import BACKEND_NAMES, loadable_backend
 
 #: Sleep between shared-memory ring polls when the peer has nothing for
 #: us; at any real throughput the ring is never empty and neither side
@@ -98,7 +99,7 @@ class TenantSpec:
 
     name: str
     k: int = 4096
-    backend: str = "columnar"
+    backend: str = "probing"
     seed: int = 0
     shards: int = 0
 
@@ -115,6 +116,11 @@ class TenantSpec:
         if self.shards < 0:
             raise InvalidParameterError(
                 f"tenant {self.name!r}: shards must be >= 0, got {self.shards}"
+            )
+        if self.backend not in BACKEND_NAMES:
+            raise InvalidParameterError(
+                f"tenant {self.name!r}: backend must be one of "
+                f"{BACKEND_NAMES}, got {self.backend!r}"
             )
 
     def substreams(self) -> list[str]:
@@ -199,7 +205,7 @@ class ClusterConfig:
     snapshot_every_batches: int = 256
     native: Optional[bool] = None
     default_k: int = 4096
-    default_backend: str = "columnar"
+    default_backend: str = "probing"
     default_seed: int = 0
     default_shards: int = 0
 
@@ -772,7 +778,13 @@ class WorkerPool:
             raise ClusterError(
                 f"unsupported tenant registry version in {path!r}"
             )
-        return [TenantSpec.from_dict(entry) for entry in payload["tenants"]]
+        # Registries written before a backend was retired still name it.
+        return [
+            TenantSpec.from_dict(
+                {**entry, "backend": loadable_backend(entry["backend"])}
+            )
+            for entry in payload["tenants"]
+        ]
 
     def _save_registry(self) -> None:
         path = self._registry_path()

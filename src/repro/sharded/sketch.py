@@ -80,7 +80,6 @@ class ShardedFrequentItemsSketch:
         configuration when omitted).
     backend : str, optional
         Counter-store backend for every shard and for the merged view.
-        ``"columnar"`` (default here) is the batch-ingest fast path.
     seed : int, optional
         Master seed: fixes the partition and, through per-shard derived
         seeds, every shard's sampling and table hash.  Two sharded
@@ -121,7 +120,7 @@ class ShardedFrequentItemsSketch:
         max_counters: int,
         num_shards: int = 4,
         policy: Optional[DecrementPolicy] = None,
-        backend: str = "columnar",
+        backend: str = "probing",
         seed: int = 0,
         max_workers: Optional[int] = None,
         growth: str = "fixed",

@@ -10,35 +10,38 @@ purges.  :class:`LinearProbingTable` reproduces that structure.
 ``dict`` — in CPython the built-in dict is the pragmatic fast path, and an
 ablation benchmark compares the two backends.
 
-:class:`ColumnarCounterStore` keeps the counters in sorted parallel
-NumPy arrays; its bulk operations (``get_many``/``add_many``/
-``insert_many`` and a masked ``decrement_and_purge``) are the substrate
-of the batched ingestion engine.
+Two earlier backends, ``"robinhood"`` and ``"columnar"``, were retired:
+they were bit-identical to the probing table and never faster.  Data
+written under their names still loads, as the probing table
+(:data:`RETIRED_BACKENDS`); new stores cannot name them.
 """
 
 from repro.table.accounting import probing_table_bytes, table_length
 from repro.table.base import CounterStore
-from repro.table.columnar import ColumnarCounterStore
 from repro.table.dictstore import DictCounterStore
 from repro.table.probing import LinearProbingTable
-from repro.table.robinhood import RobinHoodTable
 
 __all__ = [
     "CounterStore",
     "LinearProbingTable",
-    "RobinHoodTable",
     "DictCounterStore",
-    "ColumnarCounterStore",
     "table_length",
     "probing_table_bytes",
     "make_store",
     "BACKEND_NAMES",
+    "RETIRED_BACKENDS",
+    "loadable_backend",
     "GROWTH_MODES",
     "ADAPTIVE_INITIAL_CAPACITY",
 ]
 
 #: Every counter-store backend name ``make_store`` accepts.
-BACKEND_NAMES = ("probing", "robinhood", "dict", "columnar")
+BACKEND_NAMES = ("probing", "dict")
+
+#: Retired backend name -> the backend persisted state written under it
+#: loads as.  Serialized blobs, snapshots and tenant registries may
+#: still name these; ``make_store`` and the service flags reject them.
+RETIRED_BACKENDS = {"robinhood": "probing", "columnar": "probing"}
 
 #: Every table-growth mode ``make_store`` accepts.
 GROWTH_MODES = ("fixed", "adaptive")
@@ -54,10 +57,8 @@ def make_store(
 ) -> CounterStore:
     """Construct a counter store by backend name.
 
-    Backends: ``"probing"`` (the paper's Section 2.3.3 layout),
-    ``"robinhood"`` (the displacement variant, for the backend ablation),
-    ``"dict"`` (CPython's builtin table), and ``"columnar"`` (sorted
-    NumPy parallel arrays with vectorized batch operations).
+    Backends: ``"probing"`` (the paper's Section 2.3.3 layout) and
+    ``"dict"`` (CPython's builtin table).
 
     ``growth="adaptive"`` starts the store small
     (:data:`ADAPTIVE_INITIAL_CAPACITY` counters) and doubles it up to
@@ -70,10 +71,11 @@ def make_store(
     initial = ADAPTIVE_INITIAL_CAPACITY if growth == "adaptive" else None
     if backend == "probing":
         return LinearProbingTable(capacity, hash_seed=seed, initial_capacity=initial)
-    if backend == "robinhood":
-        return RobinHoodTable(capacity, hash_seed=seed, initial_capacity=initial)
     if backend == "dict":
         return DictCounterStore(capacity, initial_capacity=initial)
-    if backend == "columnar":
-        return ColumnarCounterStore(capacity, initial_capacity=initial)
     raise ValueError(f"unknown counter-store backend: {backend!r}")
+
+
+def loadable_backend(name: str) -> str:
+    """The live backend that persisted state named ``name`` loads as."""
+    return RETIRED_BACKENDS.get(name, name)

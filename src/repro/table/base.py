@@ -13,8 +13,8 @@ talks to stores through three *bulk* operations — :meth:`~CounterStore.
 get_many`, :meth:`~CounterStore.add_many`, and :meth:`~CounterStore.
 insert_many` — operating on NumPy arrays of keys.  The base class
 provides per-key fallbacks so every store works with the batch path out
-of the box; array-native stores (:class:`~repro.table.columnar.
-ColumnarCounterStore`) override them with vectorized implementations.
+of the box; array-native stores (:class:`~repro.table.probing.
+LinearProbingTable`) override them with vectorized implementations.
 The fallbacks are written so that a batch call is *observably identical*
 to the equivalent sequence of scalar calls: ``insert_many`` inserts in
 the order given (which fixes iteration order for order-sensitive

@@ -27,7 +27,7 @@ class DictCounterStore(CounterStore):
     """Bounded item -> count map on a builtin dict.
 
     ``initial_capacity`` is accepted for interface parity with the
-    array-backed stores: CPython's dict already starts tiny and doubles
+    probing table: CPython's dict already starts tiny and doubles
     as it fills, so the adaptive-growth mode is its native behavior and
     the parameter changes nothing observable.
     """

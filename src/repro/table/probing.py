@@ -339,16 +339,10 @@ class LinearProbingTable(CounterStore):
 
     def get_many(self, keys: np.ndarray) -> np.ndarray:
         keys = self._as_input(keys, np.uint64)
-        native = table_kernels(self)
-        if native is not None:
-            kernels, robinhood = native
+        kernels = table_kernels(self)
+        if kernels is not None:
             out, probes = kernels.get_many(
-                keys,
-                self._keys,
-                self._values,
-                self._states,
-                seed_mix(self._seed),
-                robinhood,
+                keys, self._keys, self._values, self._states, seed_mix(self._seed)
             )
             self.probe_count += probes
             return out
@@ -361,9 +355,8 @@ class LinearProbingTable(CounterStore):
     def add_many(self, keys: np.ndarray, deltas: np.ndarray) -> None:
         keys = self._as_input(keys, np.uint64)
         deltas = self._as_input(deltas, np.float64)
-        native = table_kernels(self)
-        if native is not None:
-            kernels, robinhood = native
+        kernels = table_kernels(self)
+        if kernels is not None:
             probes, missing = kernels.add_many(
                 keys,
                 deltas,
@@ -371,7 +364,6 @@ class LinearProbingTable(CounterStore):
                 self._values,
                 self._states,
                 seed_mix(self._seed),
-                robinhood,
             )
             # The walk charges every key's probes even when one is
             # missing, exactly like the vectorized rounds below.
@@ -402,11 +394,10 @@ class LinearProbingTable(CounterStore):
             )
         keys = self._as_input(keys, np.uint64)
         values = self._as_input(values, np.float64)
-        native = table_kernels(self)
-        if native is not None:
+        kernels = table_kernels(self)
+        if kernels is not None:
             # Native tables are at final length (the gate requires it),
             # so the staged-growth loop below would be a single block.
-            kernels, robinhood = native
             try:
                 probes = kernels.insert_many(
                     keys,
@@ -415,7 +406,6 @@ class LinearProbingTable(CounterStore):
                     self._values,
                     self._states,
                     seed_mix(self._seed),
-                    robinhood,
                 )
             except ValueError as exc:
                 # Duplicate key, detected before any mutation.
@@ -502,14 +492,13 @@ class LinearProbingTable(CounterStore):
         )
 
     def purge_nonpositive(self) -> int:
-        native = table_kernels(self)
-        if native is not None:
+        kernels = table_kernels(self)
+        if kernels is not None:
             # The compiled sweep IS the canonical scalar 0..L-1
             # backward-shift pass both strategies below reproduce.  The
             # gate guarantees no insertion log to filter.
-            kernels, robinhood = native
             freed = kernels.purge_nonpositive(
-                self._keys, self._values, self._states, robinhood
+                self._keys, self._values, self._states
             )
             self._size -= freed
             return freed
@@ -583,20 +572,11 @@ class LinearProbingTable(CounterStore):
         keys = self._keys[live_slots[keep]]
         values = live_values[keep]
         self._states[:] = 0
-        self._size = 0
         homes = self._home_slots_array(keys)
-        self._rebuild_place(keys, values, homes)
-
-    def _rebuild_place(
-        self, keys: np.ndarray, values: np.ndarray, homes: np.ndarray
-    ) -> None:
-        """Re-place purge survivors (probe tax not charged: the in-place
-        sweep it replaces never counted its shifts either).
-
-        The table is empty here, so FCFS positions follow from a pure
-        occupancy walk on a Python list; the placements scatter back in
-        one vectorized pass per column.
-        """
+        # The table is empty now, so FCFS positions follow from a pure
+        # occupancy walk on a Python list (probe tax not charged: the
+        # in-place sweep this replaces never counted its shifts either);
+        # the placements scatter back in one vectorized pass per column.
         mask = self._mask
         occupancy = [0] * (mask + 1)
         positions = []
@@ -733,4 +713,4 @@ class LinearProbingTable(CounterStore):
 
 # Exactly this class (not subclasses — the white-box layout tests rig
 # ``_home_slot``) may be served by the compiled kernels.
-register_table(LinearProbingTable, robinhood=0)
+register_table(LinearProbingTable)

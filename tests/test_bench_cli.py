@@ -74,7 +74,7 @@ def test_ingest_profile_writes_json(tmp_path, monkeypatch, capsys):
     assert document["bench"] == "ingest-profile"
     assert document["gates"]["probing_batch_speedup_alpha1.05"] > 0
     backends = {row["backend"] for row in document["rows"]}
-    assert backends == {"dict", "probing", "robinhood", "columnar"}
+    assert backends == {"dict", "probing"}
 
 
 def test_quick_flag_is_scale_alias(monkeypatch, tmp_path, capsys):
@@ -119,7 +119,7 @@ def test_report_command_end_to_end(tmp_path, monkeypatch, capsys):
 
     monkeypatch.chdir(tmp_path)
     tiny_spec = matrix.MatrixSpec(
-        backends=("columnar",),
+        backends=("probing",),
         policies=("smed",),
         alphas=(1.05,),
         k_values=(16,),

@@ -142,7 +142,7 @@ def test_ablation_tables():
     sample = ablation_sample_size(TINY)
     assert sample.column("ell") == [8, 32, 128, 512, 1024]
     backend = ablation_backend(TINY)
-    assert set(backend.column("backend")) == {"probing", "robinhood", "dict"}
+    assert set(backend.column("backend")) == {"probing", "dict"}
     order = ablation_merge_order(TINY)
     assert set(order.column("order")) == {"in-order", "random"}
     assert all(probes > 0 for probes in order.column("probes"))

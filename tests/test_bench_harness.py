@@ -97,14 +97,14 @@ def test_batch_and_scalar_caches_agree():
 def test_feed_batches_equals_feed_stream():
     batches = packet_batches(TINY)
     stream = packet_stream(TINY)
-    scalar = FrequentItemsSketch(32, backend="columnar", seed=1)
+    scalar = FrequentItemsSketch(32, backend="probing", seed=1)
     feed_stream(scalar, stream)
-    batched = FrequentItemsSketch(32, backend="columnar", seed=1)
+    batched = FrequentItemsSketch(32, backend="probing", seed=1)
     seconds = time_feed_batches(batched, batches)
     assert seconds > 0
     assert batched.stats.updates == len(stream)
     assert scalar.to_bytes() == batched.to_bytes()
-    again = FrequentItemsSketch(32, backend="columnar", seed=1)
+    again = FrequentItemsSketch(32, backend="probing", seed=1)
     feed_batches(again, batches)
     assert again.to_bytes() == batched.to_bytes()
 

@@ -29,8 +29,8 @@ def _results(tmp_path):
             "seconds_median": 0.01, "decrements": 3,
         }
         for backend, k, rate, error in [
-            ("columnar", 64, 2e6, 50.0),
-            ("columnar", 128, 1.8e6, 20.0),
+            ("dict", 64, 2e6, 50.0),
+            ("dict", 128, 1.8e6, 20.0),
             ("probing", 64, 1e6, 55.0),
         ]
     ]
@@ -49,9 +49,9 @@ def _results(tmp_path):
         tmp_path / "BENCH_ingest.json",
         {
             "bench": "ingest-profile", "metadata": {"ingest_path": "native"},
-            "gates": {"columnar_batch_per_sec_alpha1.05": 3.5e6},
+            "gates": {"probing_batch_per_sec_alpha1.05": 3.5e6},
             "rows": [{
-                "backend": "columnar", "alpha": 1.05, "batch_speedup": 11.0,
+                "backend": "probing", "alpha": 1.05, "batch_speedup": 11.0,
                 "batch_per_sec": 3.5e6, "scalar_per_sec": 3.2e5,
             }],
         },
@@ -131,7 +131,7 @@ def test_format_number():
     assert format_number(float("-inf")) == "-inf"
     assert format_number(3.5e6) == "3.5e+06"
     assert format_number(303.03) == "303.0"
-    assert format_number("columnar") == "columnar"
+    assert format_number("probing") == "probing"
 
 
 # -- report assembly ---------------------------------------------------------
@@ -143,7 +143,7 @@ def test_render_markdown_contains_sections(tmp_path):
     assert "## Throughput trajectory" in text
     assert "## Accuracy vs space frontier" in text
     assert "seed:ingest" in text  # the BENCH_ingest.json seed point
-    assert "smed/columnar/fixed@a1.05" in text
+    assert "smed/dict/fixed@a1.05" in text
 
 
 def test_render_html_self_contained(tmp_path):

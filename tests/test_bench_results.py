@@ -9,7 +9,7 @@ from repro.bench.matrix import RUN_SCHEMA
 from repro.bench.results import PROVENANCE_FIELDS, ExperimentResults, Frame
 
 
-def _cell(backend="columnar", k=64, alpha=1.05, rate=1e6, error=40.0, **extra):
+def _cell(backend="dict", k=64, alpha=1.05, rate=1e6, error=40.0, **extra):
     return {
         "policy": "smed",
         "backend": backend,
@@ -49,7 +49,7 @@ def history(tmp_path):
         runs_dir / "run-one.json",
         _run_document(
             "one", "2026-01-01T00:00:00Z",
-            [_cell(backend="columnar", k=64, rate=2e6)],
+            [_cell(backend="dict", k=64, rate=2e6)],
         ),
     )
     atomic_write_json(
@@ -57,8 +57,8 @@ def history(tmp_path):
         _run_document(
             "two", "2026-02-01T00:00:00Z",
             [
-                _cell(backend="columnar", k=64, rate=3e6, error=50.0),
-                _cell(backend="columnar", k=128, rate=2.5e6, error=20.0),
+                _cell(backend="dict", k=64, rate=3e6, error=50.0),
+                _cell(backend="dict", k=128, rate=2.5e6, error=20.0),
                 _cell(backend="probing", k=64, rate=1.5e6),
             ],
         ),
@@ -68,15 +68,15 @@ def history(tmp_path):
         {
             "bench": "ingest-profile",
             "metadata": {"ingest_path": "native"},
-            "gates": {"columnar_batch_per_sec_alpha1.05": 3.5e6},
+            "gates": {"probing_batch_per_sec_alpha1.05": 3.5e6},
             "rows": [
                 {
-                    "backend": "columnar", "alpha": 1.05,
+                    "backend": "probing", "alpha": 1.05,
                     "batch_speedup": 11.0, "batch_per_sec": 3.5e6,
                     "scalar_per_sec": 3.2e5, "adaptive_per_sec": 3.0e6,
                 },
                 {
-                    "backend": "probing", "alpha": 1.05,
+                    "backend": "dict", "alpha": 1.05,
                     "batch_speedup": 5.0, "batch_per_sec": 1.8e6,
                     "scalar_per_sec": 3.6e5, "adaptive_per_sec": 1.5e6,
                 },
@@ -176,7 +176,7 @@ def test_frontier_series_and_sort(history):
     )
     frontier = results.frontier
     assert len(frontier) == 3  # latest run only
-    assert "smed/columnar/fixed@a1.05" in frontier.unique("series")
+    assert "smed/dict/fixed@a1.05" in frontier.unique("series")
     spaces = frontier.column("space_bytes")
     assert spaces == sorted(spaces)
 
@@ -189,11 +189,11 @@ def test_trajectory_seed_points_come_first(history):
     assert trajectory.column("run_id")[:2] == ["seed:ingest", "seed:serve"]
     assert trajectory.where(run_id="seed:ingest").column("updates_per_sec") == [3.5e6]
     assert trajectory.where(run_id="seed:serve").column("updates_per_sec") == [3.0e5]
-    # Per run × backend: run one has columnar only, run two both backends.
+    # Per run × backend: run one has dict only, run two both backends.
     matrix_points = trajectory.where(source="bench_runs")
     assert len(matrix_points) == 3
     # Best cell at the canonical skew wins (3e6 beats 2.5e6 in run two).
-    best = matrix_points.where(run_id="two", metric="matrix_columnar_updates_per_sec")
+    best = matrix_points.where(run_id="two", metric="matrix_dict_updates_per_sec")
     assert best.column("updates_per_sec") == [3e6]
 
 
@@ -212,8 +212,8 @@ def test_speedups_per_backend(history):
         runs_dir=str(history / "bench_runs"), repo_root=str(history)
     )
     speedups = results.speedups
-    assert speedups.unique("backend") == ["columnar", "probing"]
-    assert speedups.where(backend="columnar").column("batch_speedup") == [11.0]
+    assert speedups.unique("backend") == ["probing", "dict"]
+    assert speedups.where(backend="probing").column("batch_speedup") == [11.0]
     assert speedups.unique("ingest_path") == ["native"]
 
 

@@ -41,7 +41,7 @@ def run(coroutine):
 def exact_pipeline(seed=3):
     """A pipeline whose sketch can never decrement: an exact oracle."""
     return IngestPipeline(
-        FrequentItemsSketch(256, backend="columnar", seed=seed),
+        FrequentItemsSketch(256, backend="probing", seed=seed),
         config=PipelineConfig(max_batch_items=512, flush_interval=0.002),
     )
 
@@ -241,7 +241,7 @@ def test_bounds_stay_valid_under_restarts_with_small_sketch():
 
     async def main():
         pipeline = IngestPipeline(
-            FrequentItemsSketch(64, backend="columnar", seed=9),
+            FrequentItemsSketch(64, backend="probing", seed=9),
             config=PipelineConfig(max_batch_items=512, flush_interval=0.002),
         )
         await pipeline.start()
@@ -327,7 +327,7 @@ def test_follower_retry_deadline_exhausts_cleanly():
 
     async def main():
         pipeline = IngestPipeline(
-            FrequentItemsSketch(256, backend="columnar", seed=9),
+            FrequentItemsSketch(256, backend="probing", seed=9),
             config=PipelineConfig(max_batch_items=512, flush_interval=0.002),
             replica=True,
         )

@@ -33,7 +33,7 @@ def chunked_oracle(k, seed, batches, chunk):
     boundaries the acceptor ships (chunks of ``chunk`` updates)."""
     from repro.core.frequent_items import FrequentItemsSketch
 
-    sketch = FrequentItemsSketch(k, backend="columnar", seed=seed)
+    sketch = FrequentItemsSketch(k, backend="probing", seed=seed)
     for items, weights in batches:
         for lo in range(0, len(items), chunk):
             sketch.update_batch(items[lo : lo + chunk], weights[lo : lo + chunk])
@@ -233,7 +233,7 @@ def test_cluster_server_protocol():
 
                 spec = await client.tcreate("clicks", k=128, shards=2)
                 assert spec == {
-                    "name": "clicks", "k": 128, "backend": "columnar",
+                    "name": "clicks", "k": 128, "backend": "probing",
                     "seed": 0, "shards": 2,
                 }
                 items = np.array([1, 1, 1, 2, 3], dtype=np.uint64)

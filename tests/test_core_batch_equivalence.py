@@ -122,15 +122,16 @@ def test_batch_rejects_float_item_ids():
     assert sketch.is_empty()
 
 
-def test_columnar_merge_equals_per_entry_ingest():
-    """merge() on the columnar backend takes the bulk path; it must stay
-    entry-for-entry identical to the generic _ingest loop."""
-    donor = FrequentItemsSketch(32, backend="columnar", seed=9)
+def test_bulk_merge_equals_per_entry_ingest():
+    """merge() on the probing backend takes the bulk path when the
+    compiled kernels are built; it must stay entry-for-entry identical
+    to the generic _ingest loop."""
+    donor = FrequentItemsSketch(32, backend="probing", seed=9)
     for items, weights in ZipfianStream(
         2_000, universe=500, alpha=1.1, seed=21, weight_low=1, weight_high=50
     ).batches():
         donor.update_batch(items, weights)
-    base = FrequentItemsSketch(16, backend="columnar", seed=10)
+    base = FrequentItemsSketch(16, backend="probing", seed=10)
     base.update_batch(np.arange(200, dtype=np.uint64))
     merged = base.copy()
     merged.merge(donor)
@@ -225,9 +226,9 @@ def test_stream_weight_exact_for_integer_weights_near_2_53():
     items = np.arange(4_000, dtype=np.uint64)
     weights = np.full(4_000, 1.0)
     weights[0] = float(1 << 50)  # huge + many small, still integer-exact
-    sketch = FrequentItemsSketch(64, backend="columnar", seed=2)
+    sketch = FrequentItemsSketch(64, backend="probing", seed=2)
     sketch.update_batch(items, weights)
-    scalar = FrequentItemsSketch(64, backend="columnar", seed=2)
+    scalar = FrequentItemsSketch(64, backend="probing", seed=2)
     for item, weight in zip(items.tolist(), weights.tolist()):
         scalar.update(item, weight)
     assert sketch.stream_weight == scalar.stream_weight == float((1 << 50) + 3_999)
@@ -245,7 +246,7 @@ def test_stream_weight_fractional_drift_is_bounded():
     # absorbs none of the tail; pairwise summation keeps it.
     weights = np.full(n, 0.125)
     weights[0] = 2.0**53
-    sketch = FrequentItemsSketch(64, backend="columnar", seed=2)
+    sketch = FrequentItemsSketch(64, backend="probing", seed=2)
     sketch.update_batch(items, weights)
     exact = math.fsum(weights.tolist())
     naive = 0.0
@@ -255,7 +256,7 @@ def test_stream_weight_fractional_drift_is_bounded():
     assert sketch.stream_weight == pytest.approx(exact, rel=1e-12, abs=0.0)
     # And across windows the per-window sums accumulate without widening
     # the bound catastrophically.
-    big = FrequentItemsSketch(64, backend="columnar", seed=2)
+    big = FrequentItemsSketch(64, backend="probing", seed=2)
     reps = np.tile(weights, 4)
     big.update_batch(np.tile(items, 4), reps)
     assert big.stream_weight == pytest.approx(math.fsum(reps.tolist()), rel=1e-12)

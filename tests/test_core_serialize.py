@@ -53,16 +53,6 @@ def test_roundtrip_probing_backend():
     assert sorted(restored.to_rows()) == sorted(sketch.to_rows())
 
 
-def test_roundtrip_columnar_backend():
-    sketch = _filled_sketch(backend="columnar")
-    restored = sketch_from_bytes(sketch_to_bytes(sketch))
-    assert restored.backend == "columnar"
-    assert sorted(restored.to_rows()) == sorted(sketch.to_rows())
-    # The sorted-array layout serializes canonically: a round trip is
-    # byte-stable.
-    assert sketch_to_bytes(restored) == sketch_to_bytes(sketch)
-
-
 def test_empty_sketch_roundtrip():
     sketch = FrequentItemsSketch(8, seed=2)
     restored = sketch_from_bytes(sketch_to_bytes(sketch))

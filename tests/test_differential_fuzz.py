@@ -1,4 +1,4 @@
-"""Seeded differential fuzzing: four backends + sharded vs an exact oracle.
+"""Seeded differential fuzzing: both backends + sharded vs an exact oracle.
 
 Each scenario drives one randomized operation sequence — scalar updates,
 array batches, weighted updates, canonical-order merges, serialization
@@ -245,12 +245,14 @@ def _run_scenario(seed: int) -> None:
             assert abs(estimate - frequency) <= sketch.maximum_error
 
     # Serialized round trips preserve all observable state on every
-    # variant; the columnar layout (canonically sorted) is additionally
-    # byte-stable.
+    # variant; the fixed-length probing layout (serial_items re-inserts
+    # slot for slot) is additionally byte-stable.  An adaptive table can
+    # restore at an earlier growth stage than the one it was written
+    # from, so its layout, and with it the record order, may differ.
     for sketch in variants:
         clone = FrequentItemsSketch.from_bytes(sketch.to_bytes())
         assert _observable_state(clone) == _observable_state(sketch)
-        if sketch.backend == "columnar":
+        if sketch.backend == "probing" and sketch.growth == "fixed":
             assert clone.to_bytes() == sketch.to_bytes()
         assert np.array_equal(
             clone.estimate_batch(probes), sketch.estimate_batch(probes)

@@ -18,7 +18,7 @@ from repro.extensions.windowed import SlidingWindowHeavyHitters
 from repro.sharded.sketch import ShardedFrequentItemsSketch
 from repro.streams.zipf import ZipfianStream
 
-BACKENDS = ("dict", "probing", "robinhood", "columnar")
+BACKENDS = ("dict", "probing")
 
 updates_strategy = st.lists(
     st.tuples(st.integers(min_value=0, max_value=40),

@@ -18,26 +18,23 @@ from repro.engine.query import QueryEngine
 from repro.errors import IncompatibleSketchError, InvalidParameterError
 from repro.streams.zipf import ZipfianStream
 
-BACKENDS = ("dict", "probing", "robinhood", "columnar")
+BACKENDS = ("dict", "probing")
 
 #: sha256(to_bytes()) after 20k scalar Zipf(1.1) updates, k=128, seed=11
 #: — computed on the pre-engine implementation.
 GOLDEN_BYTES = {
     "dict": "e1ec971850ea078569efa12043e3654e1610ee67b12fbc8abfec299ca3983270",
     "probing": "23fc4e19bc8b3f97ae6e0b1a56fd90133f96a2305dac5f2516f0deb11fe1c306",
-    "robinhood": "118b742ae1062989b0916510d6ea7c26c0e68aaf45d9a375ea774a9c0c707110",
-    "columnar": "e85276562a22ba8dbf18775c334b4c86829b988a1e48e6b93b1cb3ca6073bb58",
 }
 #: The PRNG state after the same feed (identical across backends: the
 #: sampled decrement draws are backend-independent).
 GOLDEN_RNG_STATE = (16158175513459802190, 8041277520670578783)
 #: sha256(to_bytes()) after the Algorithm 5 merge of two half-streams,
-#: k=64, seeds 3/4 — pre-engine values (covers the dict fast path, the
-#: generic ingest loop, and the columnar batch merge).
+#: k=64, seeds 3/4 — pre-engine values (covers the dict fast path and
+#: the probing merge, batched through the compiled kernel when built).
 GOLDEN_MERGE_BYTES = {
     "dict": "972067611c42547468a12d22b398282f63dc8e9064228726e37184480e0955ef",
     "probing": "a9e8342dc4d069f039985a35066b34a876e30d479760b586e19cd102769ba3a4",
-    "columnar": "ee12bb616771e67b8925fc065e63f0d92e09b71feb75ae9f061f66473fad7954",
 }
 
 
@@ -75,11 +72,11 @@ def test_merge_bit_identical_to_pre_engine_sketch(golden_stream, backend):
 def test_batch_path_hits_same_golden(golden_stream):
     items = np.array([item for item, _w in golden_stream], dtype=np.uint64)
     weights = np.array([w for _item, w in golden_stream], dtype=np.float64)
-    sketch = FrequentItemsSketch(128, backend="columnar", seed=11)
+    sketch = FrequentItemsSketch(128, backend="probing", seed=11)
     for start in range(0, len(items), 4096):
         sketch.update_batch(items[start : start + 4096],
                             weights[start : start + 4096])
-    assert _sha(sketch.to_bytes()) == GOLDEN_BYTES["columnar"]
+    assert _sha(sketch.to_bytes()) == GOLDEN_BYTES["probing"]
     assert sketch._rng.getstate() == GOLDEN_RNG_STATE
 
 

@@ -31,9 +31,9 @@ def test_infinite_half_life_matches_plain_sketch():
                       weight_low=1, weight_high=50)
     )
     decayed = DecayedFrequentItemsSketch(
-        64, half_life=math.inf, backend="columnar", seed=4
+        64, half_life=math.inf, backend="probing", seed=4
     )
-    flat = FrequentItemsSketch(64, backend="columnar", seed=4)
+    flat = FrequentItemsSketch(64, backend="probing", seed=4)
     for index, (item, weight) in enumerate(stream):
         decayed.update(item, weight)
         flat.update(item, weight)

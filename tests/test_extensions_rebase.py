@@ -90,7 +90,7 @@ def test_sampled_golden_adversarial(adversarial_stream):
     assert _sha(sampled.inner.to_bytes()) == GOLDEN_SAMPLED_ADVERSARIAL
 
 
-@pytest.mark.parametrize("backend", ("dict", "columnar"))
+@pytest.mark.parametrize("backend", ("dict", "probing"))
 def test_windowed_batch_equals_scalar(zipf_stream, backend):
     """The inherited kernel batch path lands in scalar-identical state."""
     items = np.array([item for item, _w in zipf_stream[:12_000]], dtype=np.uint64)
@@ -110,7 +110,7 @@ def test_windowed_batch_equals_scalar(zipf_stream, backend):
     )
 
 
-@pytest.mark.parametrize("backend", ("dict", "columnar"))
+@pytest.mark.parametrize("backend", ("dict", "probing"))
 def test_sampled_batch_equals_scalar(zipf_stream, backend):
     """Batch thinning draws the same renewal sequence as the scalar loop."""
     items = np.array([item for item, _w in zipf_stream], dtype=np.uint64)

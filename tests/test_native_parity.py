@@ -20,7 +20,6 @@ from repro.core.policies import SampleQuantilePolicy
 from repro.engine.kernel import SketchKernel
 from repro.errors import InvalidParameterError, TableFullError
 from repro.table.probing import LinearProbingTable
-from repro.table.robinhood import RobinHoodTable
 
 pytestmark = [
     pytest.mark.native,
@@ -29,7 +28,7 @@ pytestmark = [
     ),
 ]
 
-BACKENDS = ("probing", "robinhood", "columnar", "dict")
+BACKENDS = ("probing", "dict")
 GROWTHS = ("fixed", "adaptive")
 
 
@@ -88,13 +87,12 @@ def test_kernel_bit_identity_across_paths(backend, growth):
     assert _snapshot(fast) == _snapshot(slow)
 
 
-@pytest.mark.parametrize("backend", ("probing", "robinhood"))
-def test_kernel_bit_identity_forced_rng_sampling(backend):
+def test_kernel_bit_identity_forced_rng_sampling():
     """A tiny sample_size forces the rejection-sampling PRNG draws in the
     compiled decrement; the post-stream state words must still match."""
     kwargs = {"quantile": 0.5, "sample_size": 64}
-    fast = _drive_kernel(True, backend, "fixed", kwargs)
-    slow = _drive_kernel(False, backend, "fixed", kwargs)
+    fast = _drive_kernel(True, "probing", "fixed", kwargs)
+    slow = _drive_kernel(False, "probing", "fixed", kwargs)
     assert fast.rng.getstate() == slow.rng.getstate()
     assert _snapshot(fast) == _snapshot(slow)
 
@@ -144,15 +142,14 @@ def _live_layout(table):
     }
 
 
-@pytest.mark.parametrize("cls", (LinearProbingTable, RobinHoodTable))
-def test_table_ops_layout_and_probe_parity(cls):
+def test_table_ops_layout_and_probe_parity():
     """insert_many / get_many / add_many / purge: identical layouts and
     identical probe accounting on both paths."""
     rng = np.random.default_rng(3)
     tables = {}
     for flag in (True, False):
         with native.use_native(flag):
-            table = cls(96, hash_seed=13)
+            table = LinearProbingTable(96, hash_seed=13)
             keys = rng.choice(4000, size=96, replace=False).astype(np.uint64)
             values = rng.uniform(1.0, 20.0, size=96)
             table.insert_many(keys, values)
@@ -172,12 +169,11 @@ def test_table_ops_layout_and_probe_parity(cls):
     assert native_result[2] == numpy_result[2]
 
 
-@pytest.mark.parametrize("cls", (LinearProbingTable, RobinHoodTable))
-def test_table_error_paths_native(cls):
+def test_table_error_paths_native():
     """Duplicate / missing-key errors raise the repro types and leave the
     table untouched, exactly like the NumPy paths."""
     with native.use_native(True):
-        table = cls(8, hash_seed=1)
+        table = LinearProbingTable(8, hash_seed=1)
         table.insert(5, 1.0)
         before = _live_layout(table)
         with pytest.raises(InvalidParameterError):

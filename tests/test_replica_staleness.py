@@ -108,7 +108,7 @@ def test_replica_queries_valid_at_every_staleness_point(seed, tmp_path):
 
     async def main():
         leader = IngestPipeline(
-            FrequentItemsSketch(64, backend="columnar", seed=7),
+            FrequentItemsSketch(64, backend="probing", seed=7),
             config=CLUSTER_CFG,
             snapshots=SnapshotManager(str(tmp_path / f"leader-{seed}")),
             replication=ReplicationManager(FAST_REPL),
@@ -118,7 +118,7 @@ def test_replica_queries_valid_at_every_staleness_point(seed, tmp_path):
         await leader_server.start()
 
         follower_pipe = IngestPipeline(
-            FrequentItemsSketch(64, backend="columnar", seed=7),
+            FrequentItemsSketch(64, backend="probing", seed=7),
             config=CLUSTER_CFG,
             snapshots=SnapshotManager(str(tmp_path / f"follower-{seed}")),
             replica=True,

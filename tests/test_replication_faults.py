@@ -69,7 +69,7 @@ def test_fault_cross_section(fault, tmp_path):
 
 def test_fault_cross_section_adaptive(tmp_path):
     """...plus the adaptive-growth backend on the harshest fault."""
-    check_scenario("flat-columnar-adaptive", "restart-catch-up", 9, tmp_path)
+    check_scenario("flat-probing-adaptive", "restart-catch-up", 9, tmp_path)
 
 
 @pytest.mark.slow

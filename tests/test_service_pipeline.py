@@ -74,7 +74,7 @@ def test_many_producers_lose_and_duplicate_nothing():
             oracle.update(item, weight)
 
     async def main():
-        sketch = FrequentItemsSketch(1024, backend="columnar", seed=3)
+        sketch = FrequentItemsSketch(1024, backend="probing", seed=3)
         config = PipelineConfig(max_batch_items=256, flush_interval=0.002,
                                 max_pending_items=1024)
         pipeline = IngestPipeline(sketch, config=config)
@@ -119,14 +119,14 @@ def test_many_producers_lose_and_duplicate_nothing():
 
 def test_concurrent_result_bit_identical_to_direct_feed():
     """Micro-batch boundaries are whatever timing produced, but integer
-    weights make the engine boundary-invariant — the served columnar
+    weights make the engine boundary-invariant — the served probing
     sketch must serialize identically to a direct update_batch feed."""
     items, weights = zipf_batch(n=6_000, universe=400, seed=23)
-    reference = FrequentItemsSketch(64, backend="columnar", seed=9)
+    reference = FrequentItemsSketch(64, backend="probing", seed=9)
     reference.update_batch(items, weights)
 
     async def main():
-        sketch = FrequentItemsSketch(64, backend="columnar", seed=9)
+        sketch = FrequentItemsSketch(64, backend="probing", seed=9)
         pipeline = IngestPipeline(
             sketch,
             config=PipelineConfig(max_batch_items=512, flush_interval=0.001),
@@ -166,7 +166,7 @@ def test_sharded_sketch_rides_the_pipeline():
 
 def test_backpressure_bounds_the_queue():
     async def main():
-        sketch = FrequentItemsSketch(256, backend="columnar", seed=1)
+        sketch = FrequentItemsSketch(256, backend="probing", seed=1)
         config = PipelineConfig(
             max_batch_items=128, flush_interval=0.001, max_pending_items=256
         )
@@ -197,7 +197,7 @@ def test_backpressure_bounds_the_queue():
 def test_size_trigger_coalesces_small_submissions():
     async def main():
         pipeline = IngestPipeline(
-            FrequentItemsSketch(128, backend="columnar", seed=2),
+            FrequentItemsSketch(128, backend="probing", seed=2),
             config=PipelineConfig(max_batch_items=512, flush_interval=5.0),
         )
         async with pipeline:
@@ -331,7 +331,7 @@ def test_queries_between_micro_batches_are_consistent():
     weight is always a whole number of applied micro-batches."""
     async def main():
         pipeline = IngestPipeline(
-            FrequentItemsSketch(64, backend="columnar", seed=8),
+            FrequentItemsSketch(64, backend="probing", seed=8),
             config=PipelineConfig(max_batch_items=100, flush_interval=0.001),
         )
         observed = []

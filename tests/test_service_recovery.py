@@ -107,8 +107,8 @@ def _sampling_sketch():
 SKETCH_MAKERS = {
     "flat-probing": lambda: FrequentItemsSketch(48, backend="probing", seed=11),
     "flat-dict-sampling": _sampling_sketch,
-    "flat-columnar-adaptive": lambda: FrequentItemsSketch(
-        48, backend="columnar", seed=11, growth="adaptive"
+    "flat-probing-adaptive": lambda: FrequentItemsSketch(
+        48, backend="probing", seed=11, growth="adaptive"
     ),
     "sharded": lambda: ShardedFrequentItemsSketch(
         32, num_shards=3, seed=11, max_workers=1

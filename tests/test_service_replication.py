@@ -203,7 +203,7 @@ def test_promotion_stops_stream_before_lifting_readonly(tmp_path):
 
     async def main():
         cluster = ReplicaCluster(
-            SKETCH_MAKERS["flat-columnar-adaptive"], tmp_path
+            SKETCH_MAKERS["flat-probing-adaptive"], tmp_path
         )
         try:
             await cluster.start_leader()

@@ -24,7 +24,7 @@ def run(coroutine):
 
 def _pipeline(k=256, seed=3):
     return IngestPipeline(
-        FrequentItemsSketch(k, backend="columnar", seed=seed),
+        FrequentItemsSketch(k, backend="probing", seed=seed),
         config=PipelineConfig(max_batch_items=512, flush_interval=0.002),
     )
 
@@ -181,7 +181,7 @@ def test_snapshot_command_and_restart(tmp_path):
 
     async def serve_and_kill():
         pipeline = IngestPipeline(
-            FrequentItemsSketch(64, backend="columnar", seed=5),
+            FrequentItemsSketch(64, backend="probing", seed=5),
             config=PipelineConfig(max_batch_items=512, flush_interval=0.002),
             snapshots=SnapshotManager(directory),
         )

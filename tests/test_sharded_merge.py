@@ -149,7 +149,7 @@ def test_reshard_to_same_count_is_shardwise_exact():
 
 def test_absorb_flat_sketch():
     batch = zipf_batch(seed=9)
-    flat = FrequentItemsSketch(256, backend="columnar", seed=3)
+    flat = FrequentItemsSketch(256, backend="probing", seed=3)
     flat.update_batch(*batch)
     sharded = ShardedFrequentItemsSketch(256, num_shards=4, seed=1)
     sharded.absorb_flat(flat)

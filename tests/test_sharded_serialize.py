@@ -122,7 +122,7 @@ def test_flat_loader_refuses_sharded_frames_with_a_hint():
 
 def test_documented_offsets_parse_a_flat_sketch():
     """Parse a flat blob using only the offsets the docs state."""
-    sketch = FrequentItemsSketch(64, backend="columnar", seed=17)
+    sketch = FrequentItemsSketch(64, backend="probing", seed=17)
     sketch.update_batch(*zipf_batch(n=6_000, universe=2_000))
     blob = sketch.to_bytes()
 
@@ -139,7 +139,7 @@ def test_documented_offsets_parse_a_flat_sketch():
     (count,) = struct.unpack_from("<I", blob, 46)                 # offset 46
 
     assert k == 64
-    assert backend_code == 3  # columnar
+    assert backend_code == 0  # probing
     assert policy_kind == 0  # sample-quantile (SMED default)
     assert policy_param == 0.5
     assert sample_size == 1024

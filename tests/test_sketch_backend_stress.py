@@ -1,6 +1,6 @@
-"""Long-churn stress of the sketch on the array-backed stores.
+"""Long-churn stress of the sketch on the paper's probing table.
 
-The probing/Robin Hood tables see thousands of purge-and-refill cycles
+The probing table sees thousands of purge-and-refill cycles
 here; after every phase the physical structure is validated (occupancy,
 probe-path integrity) and the summary's brackets are re-checked against
 exact counts.  This is the closest test to production wear.
@@ -11,6 +11,7 @@ import pytest
 from repro.core.frequent_items import FrequentItemsSketch
 from repro.streams.exact import ExactCounter
 from repro.streams.zipf import ZipfianStream
+from repro.table import BACKEND_NAMES
 
 
 def _probe_paths_intact(table) -> bool:
@@ -27,7 +28,7 @@ def _probe_paths_intact(table) -> bool:
     return True
 
 
-@pytest.mark.parametrize("backend", ["probing", "robinhood"])
+@pytest.mark.parametrize("backend", ["probing"])
 def test_churn_preserves_structure_and_bounds(backend):
     sketch = FrequentItemsSketch(32, backend=backend, seed=3)
     exact = ExactCounter()
@@ -53,7 +54,7 @@ def test_churn_preserves_structure_and_bounds(backend):
     assert sketch.stats.counters_freed > 500
 
 
-@pytest.mark.parametrize("backend", ["probing", "robinhood"])
+@pytest.mark.parametrize("backend", ["probing"])
 def test_interleaved_merge_churn(backend):
     """Merging into an actively churning sketch keeps everything sane."""
     main = FrequentItemsSketch(24, backend=backend, seed=5)
@@ -92,7 +93,7 @@ def test_probing_state_bytes_stay_small_under_churn():
 
 def test_tiny_k_extreme_churn():
     """k=2: every other update can trigger a decrement; nothing breaks."""
-    for backend in ("dict", "probing", "robinhood", "columnar"):
+    for backend in BACKEND_NAMES:
         sketch = FrequentItemsSketch(2, backend=backend, seed=8)
         exact = ExactCounter()
         for index in range(3_000):

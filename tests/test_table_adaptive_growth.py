@@ -30,7 +30,6 @@ from repro.table import (
     make_store,
 )
 from repro.table.probing import LinearProbingTable
-from repro.table.robinhood import RobinHoodTable
 
 ADAPTIVE_FLAG = 0x80
 BACKEND_BYTE = 8  # offset of the backend code in the flat wire format
@@ -47,7 +46,7 @@ def _zipf(n=6_000, seed=9):
 # -- store level ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("cls", [LinearProbingTable, RobinHoodTable])
+@pytest.mark.parametrize("cls", [LinearProbingTable])
 def test_probing_layout_converges_to_fixed(cls):
     """Once grown to the final length, the physical layout is the one the
     fixed-capacity table built from the same operations."""
@@ -94,18 +93,17 @@ def test_adaptive_insert_many_grows_through_stages(backend):
 
 
 def test_purge_while_growing_keeps_log_consistent():
-    for cls in (LinearProbingTable, RobinHoodTable):
-        table = cls(200, hash_seed=5, initial_capacity=4)
-        for key in range(30):
-            table.insert(key, float(key))  # key 0 is non-positive already
-        freed = table.decrement_and_purge(10.0)
-        assert freed == 11
-        # Growth after a purge must only replay surviving keys.
-        for key in range(1000, 1100):
-            table.insert(key, 1.0)
-        assert len(table) == 30 - 11 + 100
-        for key in range(11, 30):
-            assert table.get(key) == float(key) - 10.0
+    table = LinearProbingTable(200, hash_seed=5, initial_capacity=4)
+    for key in range(30):
+        table.insert(key, float(key))  # key 0 is non-positive already
+    freed = table.decrement_and_purge(10.0)
+    assert freed == 11
+    # Growth after a purge must only replay surviving keys.
+    for key in range(1000, 1100):
+        table.insert(key, 1.0)
+    assert len(table) == 30 - 11 + 100
+    for key in range(11, 30):
+        assert table.get(key) == float(key) - 10.0
 
 
 def test_initial_capacity_validation():

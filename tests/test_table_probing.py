@@ -1,5 +1,8 @@
 """LinearProbingTable: unit tests plus a hypothesis stateful model check.
 
+The closing section holds CounterStore contract cases, some run on every
+live backend.
+
 The stateful test drives the table and a plain dict through the same
 operation sequences — insert, add_to, get, decrement-and-purge — and
 asserts the contents match after every step.  This is the strongest
@@ -13,6 +16,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import InvalidParameterError, TableFullError
 from repro.prng import Xoroshiro128PlusPlus
+from repro.table import BACKEND_NAMES, make_store
 from repro.table.accounting import (
     next_power_of_two,
     probing_table_bytes,
@@ -316,3 +320,66 @@ def test_insert_many_overflow_raises_before_mutation():
     with pytest.raises(TableFullError):
         table.insert_many(np.arange(10, 13, dtype=np.uint64), np.ones(3))
     assert len(table) == 1
+
+
+# -- CounterStore contract cases --------------------------------------------
+
+
+def test_batch_operation_errors():
+    """Duplicate and missing keys raise, and a failed bulk call leaves
+    the table unchanged (the dict store's per-key fallbacks promise only
+    the raise)."""
+    import numpy as np
+
+    store = LinearProbingTable(8, hash_seed=2)
+    store.insert_many(np.array([1, 2], dtype=np.uint64), np.array([1.0, 2.0]))
+    with pytest.raises(InvalidParameterError):
+        store.add_many(np.array([1, 3], dtype=np.uint64), np.array([1.0, 1.0]))
+    with pytest.raises(InvalidParameterError):
+        store.insert_many(np.array([7, 2], dtype=np.uint64), np.array([1.0, 1.0]))
+    with pytest.raises(InvalidParameterError):
+        store.insert_many(np.array([5, 5], dtype=np.uint64), np.array([1.0, 1.0]))
+    assert dict(store.items()) == {1: 1.0, 2: 2.0}
+    store.insert_many(np.array([], dtype=np.uint64), np.array([]))  # no-op
+    assert len(store) == 2
+
+
+def test_insert_many_duplicate_detected():
+    """A bulk insert that repeats a key already in the table raises."""
+    import numpy as np
+
+    table = LinearProbingTable(8, hash_seed=2)
+    table.insert(5, 1.0)
+    with pytest.raises(InvalidParameterError):
+        table.insert_many(np.array([7, 5], dtype=np.uint64), np.ones(2))
+    assert dict(table.items()) == {5: 1.0}
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_64bit_keys_round_trip(backend):
+    store = make_store(backend, 4)
+    big = (1 << 64) - 1
+    store.insert(big, 7.0)
+    store.insert(0, 1.0)
+    assert store.get(big) == 7.0
+    assert dict(store.items()) == {0: 1.0, big: 7.0}
+
+
+def test_sketch_logical_parity_across_backends():
+    """The same stream through every backend yields identical summaries
+    (ell >= k, so no sampling divergence)."""
+    from repro.core.frequent_items import FrequentItemsSketch
+
+    stream = [(index % 53, float(index % 7 + 1)) for index in range(4_000)]
+    sketches = {
+        backend: FrequentItemsSketch(24, backend=backend, seed=11)
+        for backend in BACKEND_NAMES
+    }
+    for item, weight in stream:
+        for sketch in sketches.values():
+            sketch.update(item, weight)
+    reference = sketches["dict"]
+    for backend, sketch in sketches.items():
+        assert sketch.maximum_error == reference.maximum_error, backend
+        for item in range(53):
+            assert sketch.estimate(item) == reference.estimate(item), (backend, item)
