@@ -31,14 +31,11 @@ import numpy as np
 
 from repro.core.policies import DecrementPolicy, SampleQuantilePolicy
 from repro.engine.grouping import BatchGrouper
-from repro.errors import (
-    IncompatibleSketchError,
-    InvalidParameterError,
-    InvalidUpdateError,
-)
+from repro.errors import IncompatibleSketchError, InvalidParameterError
 from repro.metrics.instrumentation import OpStats
 from repro.native import seed_mix, table_kernels
 from repro.prng import Xoroshiro128PlusPlus
+from repro.streams.model import check_weight
 from repro.table import GROWTH_MODES, make_store
 from repro.table.base import CounterStore
 from repro.table.dictstore import DictCounterStore
@@ -192,10 +189,7 @@ class SketchKernel:
 
     def update(self, item: ItemId, weight: float = 1.0) -> None:
         """Validate and process one weighted stream update."""
-        if weight <= 0:
-            raise InvalidUpdateError(
-                f"update weights must be positive, got {weight} for item {item}"
-            )
+        check_weight(item, weight)
         self.stream_weight += weight
         self.ingest(item, weight)
 

@@ -48,8 +48,8 @@ from repro.core.policies import DecrementPolicy
 from repro.core.row import ErrorType, HeavyHitterRow
 from repro.engine.kernel import SketchKernel
 from repro.engine.query import QueryEngine
-from repro.errors import InvalidParameterError, InvalidUpdateError
-from repro.streams.model import as_batch
+from repro.errors import InvalidParameterError
+from repro.streams.model import as_batch, check_weight
 from repro.types import ItemId, Weight
 
 #: Renormalize once the ingest scale exceeds 2^64: far below float
@@ -195,12 +195,9 @@ class DecayedFrequentItemsSketch:
 
     def update(self, item: ItemId, weight: Weight = 1.0) -> None:
         """Process one weighted update stamped at the current time."""
-        if weight <= 0:
-            # Validate before scaling so the diagnostic reports the
-            # caller's weight, not the scaled one.
-            raise InvalidUpdateError(
-                f"update weights must be positive, got {weight} for item {item}"
-            )
+        # Validate before scaling so the diagnostic reports the caller's
+        # weight, not the scaled one.
+        check_weight(item, weight)
         self._kernel.update(item, weight * self._scale)
 
     def update_batch(self, items, weights=None) -> None:

@@ -26,7 +26,6 @@ from typing import Optional
 
 from repro.core.frequent_items import FrequentItemsSketch
 from repro.core.policies import DecrementPolicy
-from repro.errors import InvalidUpdateError
 from repro.extensions.hyperloglog import HyperLogLog
 from repro.types import ItemId, Weight
 
@@ -61,11 +60,7 @@ class StreamingEntropy:
 
     def update(self, item: ItemId, weight: Weight = 1.0) -> None:
         """Observe one weighted update."""
-        if weight <= 0:
-            raise InvalidUpdateError(
-                f"update weights must be positive, got {weight} for item {item}"
-            )
-        self._sketch.update(item, weight)
+        self._sketch.update(item, weight)  # validates before any change
         self._distinct.add(item)
 
     def distinct_estimate(self) -> float:

@@ -23,6 +23,7 @@ from repro.core.frequent_items import FrequentItemsSketch
 from repro.core.policies import DecrementPolicy
 from repro.core.row import ErrorType
 from repro.errors import InvalidParameterError, InvalidUpdateError
+from repro.streams.model import check_weight
 from repro.types import ItemId, Weight
 
 #: Default IPv4 prefix hierarchy, most general to most specific.
@@ -108,10 +109,7 @@ class HierarchicalHeavyHitters:
 
     def update(self, address: ItemId, weight: Weight = 1.0) -> None:
         """Feed one address observation to every level."""
-        if weight <= 0:
-            raise InvalidUpdateError(
-                f"update weights must be positive, got {weight} for {address}"
-            )
+        check_weight(address, weight)
         if not 0 <= address < (1 << self._bits):
             raise InvalidUpdateError(
                 f"address {address} out of range for {self._bits}-bit space"

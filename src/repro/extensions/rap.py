@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.errors import InvalidParameterError, InvalidUpdateError
+from repro.errors import InvalidParameterError
 from repro.metrics.instrumentation import OpStats
 from repro.metrics.space import space_model_bytes
 from repro.prng import Xoroshiro128PlusPlus
+from repro.streams.model import check_weight
 from repro.types import ItemId
 
 
@@ -69,10 +70,7 @@ class RandomAdmissionSpaceSaving:
 
     def update(self, item: ItemId, weight: float = 1.0) -> None:
         """Process one weighted update touching O(ℓ) counters."""
-        if weight <= 0:
-            raise InvalidUpdateError(
-                f"update weights must be positive, got {weight} for item {item}"
-            )
+        check_weight(item, weight)
         self._stream_weight += weight
         stats = self.stats
         stats.updates += 1

@@ -32,9 +32,9 @@ from repro.core.frequent_items import FrequentItemsSketch
 from repro.core.policies import DecrementPolicy
 from repro.engine.kernel import SketchKernel
 from repro.engine.query import QueryEngine
-from repro.errors import InvalidParameterError, InvalidUpdateError
+from repro.errors import InvalidParameterError
 from repro.prng import Xoroshiro128PlusPlus
-from repro.streams.model import as_batch
+from repro.streams.model import as_batch, check_weight
 from repro.types import ItemId, Weight
 
 
@@ -125,10 +125,7 @@ class SampledFrequentItems:
 
     def update(self, item: ItemId, weight: Weight = 1.0) -> None:
         """Process one weighted update in O(1 + p * weight) expected time."""
-        if weight <= 0:
-            raise InvalidUpdateError(
-                f"update weights must be positive, got {weight} for item {item}"
-            )
+        check_weight(item, weight)
         self._stream_weight += weight
         if self._p >= 1.0:
             self._kernel.update(item, weight)

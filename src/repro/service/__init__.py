@@ -16,7 +16,9 @@ deployment shape:
   recover to a state *bit-identical* to an uninterrupted run.
 - :class:`~repro.service.server.StreamServer` /
   :class:`~repro.service.client.ServiceClient` — a TCP line-protocol
-  front end (``python -m repro.service`` runs one).
+  front end (``python -m repro.service`` runs one).  It and
+  ``ClusterServer`` below share one connection loop and verb table,
+  :class:`~repro.service.frontend.LineServer`.
 - :class:`~repro.service.cluster.WorkerPool` /
   :class:`~repro.service.cluster.ClusterServer` — the multi-process
   tenant cluster (``python -m repro.service --workers N``): named tenant

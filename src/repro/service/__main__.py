@@ -3,8 +3,9 @@
 Builds the sketch (flat or sharded), wires an
 :class:`~repro.service.pipeline.IngestPipeline` — recovering from the
 data directory's newest checkpoint when one exists — and serves the
-line protocol until interrupted.  A clean shutdown takes a final
-checkpoint, so restarting resumes bit-identically.
+line protocol until SIGINT or SIGTERM.  Either signal takes the clean
+shutdown, which takes a final checkpoint, so restarting resumes
+bit-identically.
 
 Every server is replication-capable: followers subscribe with
 ``REPL HELLO`` on the normal port.  ``--follow host:port`` starts this
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import signal
 import sys
 
 from repro.core.frequent_items import FrequentItemsSketch
@@ -233,7 +235,7 @@ async def run_cluster(args: argparse.Namespace) -> int:
                 flush=True,
             )
             with contextlib.suppress(asyncio.CancelledError):
-                await asyncio.Event().wait()  # until cancelled (Ctrl-C)
+                await asyncio.Event().wait()  # until SIGINT/SIGTERM
     return 0
 
 
@@ -266,6 +268,13 @@ def check_args(args: argparse.Namespace) -> None:
 
 
 async def run(args: argparse.Namespace) -> int:
+    # SIGTERM gets SIGINT's clean shutdown: cancelling this task unwinds
+    # every `async with` (final checkpoint, workers stopped).  Signal
+    # handlers are unsupported off the main thread and on Windows loops.
+    task = asyncio.current_task()
+    assert task is not None
+    with contextlib.suppress(NotImplementedError, RuntimeError):
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, task.cancel)
     if args.promote:
         return await promote(args)
     if args.workers is not None:
@@ -314,7 +323,7 @@ async def run(args: argparse.Namespace) -> int:
             )
             try:
                 with contextlib.suppress(asyncio.CancelledError):
-                    await asyncio.Event().wait()  # until cancelled (Ctrl-C)
+                    await asyncio.Event().wait()  # until SIGINT/SIGTERM
             finally:
                 if coordinator is not None:
                     await coordinator.stop()
@@ -332,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return asyncio.run(run(args))
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
+    except (KeyboardInterrupt, asyncio.CancelledError):  # signalled mid start-up
         return 0
 
 

@@ -8,6 +8,7 @@ backpressure (a full ingest queue delays the ``OK``).
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import os
 import random
@@ -24,6 +25,27 @@ from repro.service import protocol
 
 class ServiceError(ValueError):
     """The server answered ``ERR <reason>``."""
+
+
+def _frames(items, weights, size: int):
+    """Normalize one update batch to ``(uint64, float64)`` arrays (unit
+    weights by default) and cut it into frames of at most ``size``."""
+    items = np.ascontiguousarray(items, dtype=np.uint64)
+    if weights is None:
+        weights = np.ones(len(items), dtype=np.float64)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    for lo in range(0, len(items), size):
+        yield items[lo : lo + size], weights[lo : lo + size]
+
+
+def _hh_pairs(args: list[str]) -> list[tuple[int, float]]:
+    """The ``(item, estimate)`` pairs of a ``<n> <item>:<estimate> ...``
+    heavy-hitter reply."""
+    pairs = []
+    for token in args[1 : 1 + int(args[0])]:
+        item_text, _sep, estimate_text = token.partition(":")
+        pairs.append((int(item_text), float(estimate_text)))
+    return pairs
 
 
 class ServiceClient:
@@ -105,22 +127,20 @@ class ServiceClient:
         transparently; an empty batch is a no-op (matching
         ``IngestPipeline.submit``).
         """
-        items = np.ascontiguousarray(items, dtype=np.uint64)
-        if weights is None:
-            weights = np.ones(len(items), dtype=np.float64)
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        if binary:
+            encode, chunk = protocol.encode_bin_frame, protocol.MAX_BIN_ITEMS
+        else:
+            # Text pairs are ~25 bytes each; keep BATCH lines far inside
+            # the server's MAX_LINE_BYTES.
+            encode, chunk = protocol.encode_batch_line, 10_000
+        return await self._send_frames(encode, items, weights, chunk)
+
+    async def _send_frames(self, encode, items, weights, chunk: int) -> int:
+        """Send ``encode(items, weights)`` per frame of at most ``chunk``
+        updates; returns the acknowledged total."""
         acknowledged = 0
-        # Text pairs are ~25 bytes each; keep BATCH lines far inside the
-        # server's MAX_LINE_BYTES.
-        chunk = protocol.MAX_BIN_ITEMS if binary else 10_000
-        for lo in range(0, len(items), chunk):
-            part_items = items[lo : lo + chunk]
-            part_weights = weights[lo : lo + chunk]
-            if binary:
-                payload = protocol.encode_bin_frame(part_items, part_weights)
-            else:
-                payload = protocol.encode_batch_line(part_items, part_weights)
-            reply = self._ok_args(await self._request(payload))
+        for frame in _frames(items, weights, chunk):
+            reply = self._ok_args(await self._request(encode(*frame)))
             acknowledged += int(reply[0])
         return acknowledged
 
@@ -136,12 +156,7 @@ class ServiceClient:
     async def heavy_hitters(self, phi: float) -> list[tuple[int, float]]:
         """``(item, estimate)`` pairs, sorted by estimate descending."""
         reply = self._ok_args(await self._request(f"HH {phi:g}\n".encode()))
-        count = int(reply[0])
-        pairs = []
-        for token in reply[1 : 1 + count]:
-            item_text, _sep, estimate_text = token.partition(":")
-            pairs.append((int(item_text), float(estimate_text)))
-        return pairs
+        return _hh_pairs(reply)
 
     async def stats(self) -> dict:
         text = await self._request(b"STATS\n")
@@ -170,13 +185,7 @@ class ServiceClient:
     async def qhh(self, phi: float) -> tuple[int, list[tuple[int, float]]]:
         """``(applied_seq, [(item, estimate), ...])``, estimate-sorted."""
         reply = self._ok_args(await self._request(f"QHH {phi:g}\n".encode()))
-        seq = int(reply[0])
-        count = int(reply[1])
-        pairs = []
-        for token in reply[2 : 2 + count]:
-            item_text, _sep, estimate_text = token.partition(":")
-            pairs.append((int(item_text), float(estimate_text)))
-        return seq, pairs
+        return int(reply[0]), _hh_pairs(reply[1:])
 
     # -- replication admin -----------------------------------------------------
 
@@ -241,20 +250,10 @@ class ClusterClient(ServiceClient):
 
     async def tsend_batch(self, name: str, items, weights=None) -> int:
         """Ship one batch to a named tenant as ``TBIN`` frames."""
-        items = np.ascontiguousarray(items, dtype=np.uint64)
-        if weights is None:
-            weights = np.ones(len(items), dtype=np.float64)
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-        acknowledged = 0
-        for lo in range(0, len(items), protocol.MAX_BIN_ITEMS):
-            payload = protocol.encode_tbin_frame(
-                name,
-                items[lo : lo + protocol.MAX_BIN_ITEMS],
-                weights[lo : lo + protocol.MAX_BIN_ITEMS],
-            )
-            reply = self._ok_args(await self._request(payload))
-            acknowledged += int(reply[0])
-        return acknowledged
+        return await self._send_frames(
+            functools.partial(protocol.encode_tbin_frame, name),
+            items, weights, protocol.MAX_BIN_ITEMS,
+        )
 
     async def tupdate(self, name: str, item: int, weight: float = 1.0) -> None:
         await self._request(
@@ -281,13 +280,7 @@ class ClusterClient(ServiceClient):
         reply = self._ok_args(
             await self._request(f"THH {name} {phi:g}\n".encode("ascii"))
         )
-        seq = int(reply[0])
-        count = int(reply[1])
-        pairs = []
-        for token in reply[2 : 2 + count]:
-            item_text, _sep, estimate_text = token.partition(":")
-            pairs.append((int(item_text), float(estimate_text)))
-        return seq, pairs
+        return int(reply[0]), _hh_pairs(reply[1:])
 
     async def drain(self) -> int:
         """Await every in-flight frame applied; returns the watermark sum."""
@@ -534,34 +527,26 @@ class ReconnectingServiceClient:
         idempotent BINS frame, resubmitted after a reconnect only when
         its acknowledgement never arrived.
         """
-        items = np.ascontiguousarray(items, dtype=np.uint64)
-        if weights is None:
-            weights = np.ones(len(items), dtype=np.float64)
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
         acknowledged = 0
-        for lo in range(0, len(items), protocol.MAX_BIN_ITEMS):
+        for part_items, part_weights in _frames(
+            items, weights, protocol.MAX_BIN_ITEMS
+        ):
             self._frame_seq += 1
             payload = protocol.encode_bins_frame(
-                items[lo : lo + protocol.MAX_BIN_ITEMS],
-                weights[lo : lo + protocol.MAX_BIN_ITEMS],
-                self._session,
-                self._frame_seq,
+                part_items, part_weights, self._session, self._frame_seq
             )
             reply = await self._with_retry(payload, resubmittable=True)
-            parts = reply.split()
-            if not parts or parts[0] != "OK":
-                raise ServiceError(f"unexpected response {reply!r}")
-            acknowledged += int(parts[1])
+            acknowledged += int(ServiceClient._ok_args(reply)[0])
         return acknowledged
 
     async def estimate(self, item: int) -> float:
         reply = await self._with_retry(f"EST {int(item)}\n".encode())
-        return float(reply.split()[1])
+        return float(ServiceClient._ok_args(reply)[0])
 
     async def qest(self, item: int) -> tuple[int, float]:
         reply = await self._with_retry(f"QEST {int(item)}\n".encode())
-        parts = reply.split()
-        return int(parts[1]), float(parts[2])
+        seq, estimate = ServiceClient._ok_args(reply)
+        return int(seq), float(estimate)
 
     async def stats(self) -> dict:
         return json.loads((await self._with_retry(b"STATS\n"))[3:])

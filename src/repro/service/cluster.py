@@ -39,11 +39,10 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Optional
-
-import numpy as np
 
 from repro import native
 from repro.core.frequent_items import FrequentItemsSketch
@@ -52,6 +51,17 @@ from repro.core.row import HeavyHitterRow
 from repro.errors import ClusterError, InvalidParameterError
 from repro.service import protocol
 from repro.service.frames import SharedFrameRing, shared_memory_available
+from repro.service.frontend import (
+    CloseConnection,
+    LineServer,
+    Reply,
+    hh_reply,
+    json_reply,
+    ok_reply,
+    one_update,
+    read_bin,
+    usage,
+)
 from repro.service.pipeline import IngestPipeline, PipelineConfig
 from repro.service.ring import HashRing
 from repro.service.snapshot import SnapshotManager, decode_snapshot, encode_snapshot
@@ -65,8 +75,15 @@ from repro.table import BACKEND_NAMES, loadable_backend
 #: ever reaches the sleep.
 _POLL_INTERVAL = 0.0005
 
+#: How often an idle pipe-transport worker wakes to check that its
+#: acceptor is still alive (ring workers check at every poll).
+_ORPHAN_CHECK_INTERVAL = 1.0
+
 #: How long pool shutdown waits for a worker to exit before killing it.
 _JOIN_TIMEOUT = 5.0
+
+#: The tenant behind the single-tenant verbs (``UPDATE``, ``EST``, ...).
+DEFAULT_TENANT = "default"
 
 _REGISTRY_NAME = "tenants.json"
 _REGISTRY_VERSION = 1
@@ -259,6 +276,10 @@ class _WorkerRuntime:
         snapshot_every: int,
     ) -> None:
         self._worker_id = worker_id
+        # Recorded by the acceptor before the fork: the acceptor may die
+        # before this process gets here, when getppid() is already 1.
+        parent = multiprocessing.parent_process()
+        self._acceptor_pid = os.getppid() if parent is None else parent.pid
         self._conn = conn
         self._ring = (
             SharedFrameRing.attach(ring_name) if ring_name is not None else None
@@ -289,16 +310,20 @@ class _WorkerRuntime:
                 self._wake.clear()
                 if self._conn.poll():
                     continue
-                if self._ring is None:
-                    await self._wake.wait()
-                else:
-                    # Ring writes carry no wakeup; poll at a cadence that
-                    # is invisible under load (the ring is never empty
-                    # then) and cheap when idle.
-                    try:
-                        await asyncio.wait_for(self._wake.wait(), _POLL_INTERVAL)
-                    except asyncio.TimeoutError:
-                        pass
+                # Ring writes carry no wakeup; poll at a cadence that is
+                # invisible under load (the ring is never empty then) and
+                # cheap when idle.
+                idle_wait = (
+                    _ORPHAN_CHECK_INTERVAL if self._ring is None else _POLL_INTERVAL
+                )
+                try:
+                    await asyncio.wait_for(self._wake.wait(), idle_wait)
+                except asyncio.TimeoutError:
+                    if os.getppid() != self._acceptor_pid:
+                        # Reparented: the acceptor died and no "stop" will
+                        # come (forked processes hold copies of its pipe
+                        # end, so no EOF either).  Stop as if it had asked.
+                        await self._handle_rpc("stop", {"final_snapshot": True})
         finally:
             loop.remove_reader(self._conn.fileno())
             for pipeline in self._pipelines.values():
@@ -361,8 +386,11 @@ class _WorkerRuntime:
             return await self._tcreate(payload)
         if op == "tdrop":
             return await self._tdrop(payload["tid"])
-        if op == "drain":
+        if op in ("drain", "snapshot"):
             await self._consume_frames()
+            if op == "snapshot":
+                for pipeline in self._pipelines.values():
+                    pipeline.snapshot_now()
             return {
                 tid: pipeline.applied_seq
                 for tid, pipeline in self._pipelines.items()
@@ -379,14 +407,6 @@ class _WorkerRuntime:
                     pipeline.sketch, pipeline.applied_seq
                 )
             return blobs
-        if op == "snapshot":
-            await self._consume_frames()
-            for pipeline in self._pipelines.values():
-                pipeline.snapshot_now()
-            return {
-                tid: pipeline.applied_seq
-                for tid, pipeline in self._pipelines.items()
-            }
         if op == "stop":
             await self._consume_frames()
             self._final_snapshot = bool(payload["final_snapshot"])
@@ -450,19 +470,8 @@ class _WorkerRuntime:
                 pipeline.estimate(item),
                 pipeline.upper_bound(item),
             )
-        if kind == "hh":
-            return [tuple(row) for row in pipeline.heavy_hitters(payload["phi"])]
-        if kind == "seq":
-            return pipeline.applied_seq
         if kind == "stats":
-            sketch = pipeline.sketch
-            return {
-                "applied_seq": pipeline.applied_seq,
-                "stream_weight": sketch.stream_weight,
-                "num_active": getattr(sketch, "num_active", None),
-                "maximum_error": sketch.maximum_error,
-                **pipeline.stats.as_dict(),
-            }
+            return pipeline.stats_dict()
         raise ClusterError(f"unknown query kind {kind!r}")
 
 
@@ -481,6 +490,12 @@ def _worker_process_main(
         asyncio.events._set_running_loop(None)
     except AttributeError:  # pragma: no cover - future-python guard
         pass
+    # ... and the acceptor's asyncio SIGTERM handler with its wakeup
+    # descriptor.  Restore the default so SIGTERM (the pool's own
+    # terminate(), a process-group kill) ends this worker, and a signal
+    # delivered here never lands on the acceptor's event loop.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
     runtime = _WorkerRuntime(worker_id, conn, ring_name, data_dir, snapshot_every)
     try:
         # The explicit flag (not the env var) decides the ingest path, so
@@ -914,14 +929,6 @@ class WorkerPool:
             await self._ship(spec.name, items, weights)
         return int(items.shape[0])
 
-    async def update(self, tenant: str, item: int, weight: float = 1.0) -> None:
-        """Scalar convenience wrapper over :meth:`submit`."""
-        await self.submit(
-            tenant,
-            np.array([item], dtype=np.uint64),
-            np.array([weight], dtype=np.float64),
-        )
-
     async def _ship(self, substream: str, items, weights) -> None:
         tid = self._tids[substream]
         handle = self._workers[self._owners[substream]]
@@ -969,17 +976,23 @@ class WorkerPool:
         the substream was created) — the watermark vector the merged-view
         cache is keyed by.
         """
+        for handle in self._workers:
+            while handle.alive and handle.ring is not None and (
+                handle.ring.consumed_seq() < handle.ring.produced_seq()
+            ):
+                self._check_alive(handle)
+                await asyncio.sleep(_POLL_INTERVAL)
+        return await self._applied_seqs("drain")
+
+    async def _applied_seqs(self, op: str) -> dict[str, int]:
+        """Run ``op`` on every live worker; the applied seqs it answers
+        per tenant id, keyed by substream."""
         by_tid = {tid: substream for substream, tid in self._tids.items()}
         seqs: dict[str, int] = {}
         for handle in self._workers:
-            if not handle.alive:
-                continue
-            if handle.ring is not None:
-                while handle.ring.consumed_seq() < handle.ring.produced_seq():
-                    self._check_alive(handle)
-                    await asyncio.sleep(_POLL_INTERVAL)
-            for tid, seq in (await self._rpc(handle, "drain")).items():
-                seqs[by_tid[tid]] = seq
+            if handle.alive:
+                for tid, seq in (await self._rpc(handle, op)).items():
+                    seqs[by_tid[tid]] = seq
         return seqs
 
     # -- per-tenant queries ----------------------------------------------------
@@ -1038,18 +1051,17 @@ class WorkerPool:
         This is the byte-exact comparison format the differential tests
         use: two clusters agree on a tenant iff these blobs agree.
         """
-        spec = self._spec_of(tenant)
+        return await self._blobs(self._spec_of(tenant).substreams())
+
+    async def _blobs(self, substreams: list[str]) -> dict[str, bytes]:
+        """The substreams' blobs, one ``blobs`` RPC per owning worker."""
         by_worker: dict[int, list[int]] = {}
-        for substream in spec.substreams():
-            by_worker.setdefault(self._owners[substream], []).append(
-                self._tids[substream]
-            )
-        by_tid = {self._tids[sub]: sub for sub in spec.substreams()}
+        for sub in substreams:
+            by_worker.setdefault(self._owners[sub], []).append(self._tids[sub])
+        by_tid = {self._tids[sub]: sub for sub in substreams}
         blobs: dict[str, bytes] = {}
         for worker_id, tids in by_worker.items():
-            result = await self._rpc(
-                self._workers[worker_id], "blobs", {"tids": tids}
-            )
+            result = await self._rpc(self._workers[worker_id], "blobs", {"tids": tids})
             for tid, blob in result.items():
                 blobs[by_tid[tid]] = blob
         return blobs
@@ -1083,18 +1095,8 @@ class WorkerPool:
         cached = self._view_cache.get(key)
         if cached is not None and cached[0] == stamp:
             return cached[1], stamp
-        by_worker: dict[int, list[int]] = {}
-        for sub in ordered:
-            by_worker.setdefault(self._owners[sub], []).append(self._tids[sub])
-        blob_by_tid: dict[int, bytes] = {}
-        for worker_id, tids in by_worker.items():
-            blob_by_tid.update(
-                await self._rpc(self._workers[worker_id], "blobs", {"tids": tids})
-            )
-        sketches = [
-            decode_snapshot(blob_by_tid[self._tids[sub]])[0] for sub in ordered
-        ]
-        merged = merge_linear(sketches)
+        blobs = await self._blobs(ordered)
+        merged = merge_linear([decode_snapshot(blobs[sub])[0] for sub in ordered])
         self._view_cache[key] = (stamp, merged)
         return merged, stamp
 
@@ -1118,14 +1120,7 @@ class WorkerPool:
 
     async def snapshot_all(self) -> dict[str, int]:
         """Force a checkpoint of every tenant; returns applied seqs."""
-        by_tid = {tid: substream for substream, tid in self._tids.items()}
-        seqs: dict[str, int] = {}
-        for handle in self._workers:
-            if not handle.alive:
-                continue
-            for tid, seq in (await self._rpc(handle, "snapshot")).items():
-                seqs[by_tid[tid]] = seq
-        return seqs
+        return await self._applied_seqs("snapshot")
 
     def stats(self) -> dict:
         """Cluster topology + per-worker watermarks, without any RPC."""
@@ -1160,280 +1155,131 @@ class WorkerPool:
 # ---------------------------------------------------------------------------
 
 
-class ClusterServer:
+class ClusterServer(LineServer):
     """Serve a :class:`WorkerPool` over the tenant-aware line protocol.
 
-    Speaks every ``T``-prefixed tenant verb plus the global views (see
-    the :mod:`repro.service.protocol` table); the legacy single-tenant
-    verbs (``UPDATE``/``BATCH``/``BIN``/``EST``/``BOUNDS``/``HH``) keep
-    working against an implicitly created ``default`` tenant, so any
-    existing client can point at a cluster unchanged.  Start the pool
-    *before* the server: worker processes must not inherit the listening
-    socket.
+    Speaks every ``T``-prefixed tenant verb and ``DRAIN`` on top of the
+    shared verbs (see the :mod:`repro.service.protocol` table).  The
+    single-tenant verbs (``UPDATE``/``BATCH``/``BIN``/``EST``/``BOUNDS``/
+    ``HH``) work against an implicitly created ``default`` tenant, so
+    any existing client can point at a cluster unchanged; ``QEST``/
+    ``QHH`` answer from the merged view over every tenant.  Start the
+    pool *before* the server: worker processes must not inherit the
+    listening socket.
     """
 
     def __init__(
         self, pool: WorkerPool, host: str = "127.0.0.1", port: int = 0
     ) -> None:
+        super().__init__(host, port)
         self._pool = pool
-        self._host = host
-        self._requested_port = port
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: set[asyncio.StreamWriter] = set()
 
     @property
     def pool(self) -> WorkerPool:
         return self._pool
 
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("server is not started")
-        return self._server.sockets[0].getsockname()[1]
+    # -- accessors for the shared verbs ----------------------------------------
 
-    async def start(self) -> "ClusterServer":
-        if self._server is None:
-            self._server = await asyncio.start_server(
-                self._handle, self._host, self._requested_port,
-                limit=protocol.MAX_LINE_BYTES,
+    async def _submit(self, items, weights) -> int:
+        await self._pool.ensure_tenant(DEFAULT_TENANT)
+        return await self._pool.submit(DEFAULT_TENANT, items, weights)
+
+    async def _estimate(self, item: int) -> float:
+        await self._pool.ensure_tenant(DEFAULT_TENANT)
+        return await self._pool.estimate(DEFAULT_TENANT, item)
+
+    async def _bounds(self, item: int) -> tuple[float, float, float]:
+        await self._pool.ensure_tenant(DEFAULT_TENANT)
+        return await self._pool.bounds(DEFAULT_TENANT, item)
+
+    async def _heavy_hitters(self, phi: float) -> list:
+        await self._pool.ensure_tenant(DEFAULT_TENANT)
+        _seq, rows = await self._pool.heavy_hitters(DEFAULT_TENANT, phi)
+        return rows
+
+    async def _stamped_estimate(self, item: int) -> tuple[int, float]:
+        return await self._pool.global_estimate(item)
+
+    async def _stamped_heavy_hitters(self, phi: float) -> tuple[int, list]:
+        return await self._pool.global_heavy_hitters(phi)
+
+    async def _snapshot(self) -> int:
+        return sum((await self._pool.snapshot_all()).values())
+
+    async def _stats(self) -> dict:
+        return self._pool.stats()
+
+    # -- tenant verbs ----------------------------------------------------------
+
+    async def _verb_tcreate(self, args, reader, writer) -> Reply:
+        if not 1 <= len(args) <= 5:
+            return usage(
+                "TCREATE <name> [k] [backend] [seed] [shards] "
+                "(- = server default)"
             )
-        return self
+        # Positional optionals; "-" (or a missing tail) means the default.
+        k, backend, seed, shards = (
+            None if value == "-" else value
+            for value in args[1:] + ["-"] * (5 - len(args))
+        )
+        spec = await self._pool.create_tenant(
+            args[0],
+            k=None if k is None else int(k),
+            backend=backend,
+            seed=None if seed is None else int(seed),
+            shards=None if shards is None else int(shards),
+        )
+        return json_reply(spec.as_dict()), False
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            for writer in list(self._connections):
-                writer.close()
-            await self._server.wait_closed()
-            self._server = None
+    async def _verb_tdrop(self, args, reader, writer) -> Reply:
+        if len(args) != 1:
+            return usage("TDROP <name>")
+        await self._pool.drop_tenant(args[0])
+        return b"OK\n", False
 
-    async def __aenter__(self) -> "ClusterServer":
-        return await self.start()
+    async def _verb_tlist(self, args, reader, writer) -> Reply:
+        return json_reply([spec.as_dict() for spec in self._pool.list_tenants()]), False
 
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.stop()
+    async def _verb_tbin(self, args, reader, writer) -> Reply:
+        if len(args) != 2:
+            raise CloseConnection("usage: TBIN <name> <count>; closing")
+        items, weights = await read_bin(reader, "TBIN", args[1])
+        return ok_reply(await self._pool.submit(args[0], items, weights)), False
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(b"ERR request line too long\n")
-                    break
-                if not line:
-                    break
-                reply, close = await self._dispatch(line, reader)
-                writer.write(reply)
-                await writer.drain()
-                if close:
-                    break
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        except asyncio.CancelledError:
-            pass  # loop teardown; the connection is going away regardless
-        finally:
-            self._connections.discard(writer)
-            try:
-                await writer.drain()
-            except (
-                ConnectionResetError, BrokenPipeError, asyncio.CancelledError
-            ):  # pragma: no cover
-                pass
-            writer.close()
+    async def _verb_tupdate(self, args, reader, writer) -> Reply:
+        if len(args) not in (2, 3):
+            return usage("TUPDATE <name> <item> [weight]")
+        await self._pool.submit(args[0], *one_update(*args[1:]))
+        return b"OK\n", False
 
-    @staticmethod
-    def _hh_reply(seq: int, rows: list) -> bytes:
-        body = " ".join(f"{row[0]}:{row[1]:.17g}" for row in rows)
-        sep = " " if body else ""
-        return f"OK {seq} {len(rows)}{sep}{body}\n".encode("ascii")
+    async def _verb_test(self, args, reader, writer) -> Reply:
+        if len(args) != 2:
+            return usage("TEST <name> <item>")
+        return ok_reply(await self._pool.estimate(args[0], int(args[1]))), False
 
-    async def _read_bin(
-        self, reader: asyncio.StreamReader, count_text: str
-    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Read one BIN payload; ``None`` means an unrecoverable count."""
-        try:
-            count = int(count_text)
-        except ValueError:
-            return None
-        if not 0 < count <= protocol.MAX_BIN_ITEMS:
-            return None
-        payload = await reader.readexactly(16 * count)
-        return protocol.decode_bin_payload(payload, count)
+    async def _verb_tbounds(self, args, reader, writer) -> Reply:
+        if len(args) != 2:
+            return usage("TBOUNDS <name> <item>")
+        return ok_reply(*await self._pool.bounds(args[0], int(args[1]))), False
 
-    async def _dispatch(
-        self, line: bytes, reader: asyncio.StreamReader
-    ) -> tuple[bytes, bool]:
-        pool = self._pool
-        try:
-            text = line.decode("ascii").strip()
-        except UnicodeDecodeError:
-            return b"ERR request is not ASCII\n", False
-        if not text:
-            return b"ERR empty request\n", False
-        command, *args = text.split()
-        command = command.upper()
-        try:
-            if command == "PING":
-                return b"PONG\n", False
-            if command == "QUIT":
-                return b"BYE\n", True
-            if command == "TCREATE":
-                if not 1 <= len(args) <= 5:
-                    return (
-                        b"ERR usage: TCREATE <name> [k] [backend] [seed] "
-                        b"[shards] (- = server default)\n",
-                        False,
-                    )
+    async def _verb_thh(self, args, reader, writer) -> Reply:
+        if len(args) != 2:
+            return usage("THH <name> <phi>")
+        seq, rows = await self._pool.heavy_hitters(args[0], float(args[1]))
+        return hh_reply(rows, seq), False
 
-                def _opt(index: int) -> Optional[str]:
-                    if index >= len(args) or args[index] == "-":
-                        return None
-                    return args[index]
+    async def _verb_drain(self, args, reader, writer) -> Reply:
+        return ok_reply(sum((await self._pool.drain()).values())), False
 
-                k_text, backend, seed_text, shards_text = (
-                    _opt(1), _opt(2), _opt(3), _opt(4)
-                )
-                spec = await pool.create_tenant(
-                    args[0],
-                    k=int(k_text) if k_text is not None else None,
-                    backend=backend,
-                    seed=int(seed_text) if seed_text is not None else None,
-                    shards=int(shards_text) if shards_text is not None else None,
-                )
-                return f"OK {json.dumps(spec.as_dict())}\n".encode("ascii"), False
-            if command == "TDROP":
-                if len(args) != 1:
-                    return b"ERR usage: TDROP <name>\n", False
-                await pool.drop_tenant(args[0])
-                return b"OK\n", False
-            if command == "TLIST":
-                specs = [spec.as_dict() for spec in pool.list_tenants()]
-                return f"OK {json.dumps(specs)}\n".encode("ascii"), False
-            if command == "TBIN":
-                if len(args) != 2:
-                    return b"ERR usage: TBIN <name> <count>; closing\n", True
-                decoded = await self._read_bin(reader, args[1])
-                if decoded is None:
-                    # The count is untrusted, the payload may be in
-                    # flight: resynchronizing is impossible, close.
-                    return (
-                        f"ERR TBIN count must be in "
-                        f"[1, {protocol.MAX_BIN_ITEMS}]; closing\n"
-                        .encode("ascii"),
-                        True,
-                    )
-                try:
-                    count = await pool.submit(args[0], *decoded)
-                except (ClusterError, ValueError) as exc:
-                    # Payload fully consumed: the stream is in sync.
-                    return f"ERR {exc}\n".encode("ascii", "replace"), False
-                return f"OK {count}\n".encode("ascii"), False
-            if command == "TUPDATE":
-                if len(args) not in (2, 3):
-                    return b"ERR usage: TUPDATE <name> <item> [weight]\n", False
-                weight = float(args[2]) if len(args) == 3 else 1.0
-                await pool.update(args[0], int(args[1]), weight)
-                return b"OK\n", False
-            if command == "TEST":
-                if len(args) != 2:
-                    return b"ERR usage: TEST <name> <item>\n", False
-                estimate = await pool.estimate(args[0], int(args[1]))
-                return f"OK {estimate:.17g}\n".encode("ascii"), False
-            if command == "TBOUNDS":
-                if len(args) != 2:
-                    return b"ERR usage: TBOUNDS <name> <item>\n", False
-                lower, estimate, upper = await pool.bounds(args[0], int(args[1]))
-                return (
-                    f"OK {lower:.17g} {estimate:.17g} {upper:.17g}\n"
-                    .encode("ascii"),
-                    False,
-                )
-            if command == "THH":
-                if len(args) != 2:
-                    return b"ERR usage: THH <name> <phi>\n", False
-                seq, rows = await pool.heavy_hitters(args[0], float(args[1]))
-                return self._hh_reply(seq, rows), False
-            if command == "QEST":
-                if len(args) != 1:
-                    return b"ERR usage: QEST <item>\n", False
-                seq, estimate = await pool.global_estimate(int(args[0]))
-                return f"OK {seq} {estimate:.17g}\n".encode("ascii"), False
-            if command == "QHH":
-                if len(args) != 1:
-                    return b"ERR usage: QHH <phi>\n", False
-                seq, rows = await pool.global_heavy_hitters(float(args[0]))
-                return self._hh_reply(seq, rows), False
-            if command == "UPDATE":
-                if len(args) not in (1, 2):
-                    return b"ERR usage: UPDATE <item> [weight]\n", False
-                await pool.ensure_tenant("default")
-                weight = float(args[1]) if len(args) == 2 else 1.0
-                await pool.update("default", int(args[0]), weight)
-                return b"OK\n", False
-            if command == "BATCH":
-                if not args:
-                    return b"ERR usage: BATCH <item>:<weight> ...\n", False
-                items, weights = protocol.parse_batch_args(args)
-                await pool.ensure_tenant("default")
-                count = await pool.submit("default", items, weights)
-                return f"OK {count}\n".encode("ascii"), False
-            if command == "BIN":
-                if len(args) != 1:
-                    return b"ERR usage: BIN <count>; closing\n", True
-                decoded = await self._read_bin(reader, args[0])
-                if decoded is None:
-                    return (
-                        f"ERR BIN count must be in "
-                        f"[1, {protocol.MAX_BIN_ITEMS}]; closing\n"
-                        .encode("ascii"),
-                        True,
-                    )
-                await pool.ensure_tenant("default")
-                try:
-                    count = await pool.submit("default", *decoded)
-                except (ClusterError, ValueError) as exc:
-                    return f"ERR {exc}\n".encode("ascii", "replace"), False
-                return f"OK {count}\n".encode("ascii"), False
-            if command == "EST":
-                if len(args) != 1:
-                    return b"ERR usage: EST <item>\n", False
-                await pool.ensure_tenant("default")
-                estimate = await pool.estimate("default", int(args[0]))
-                return f"OK {estimate:.17g}\n".encode("ascii"), False
-            if command == "BOUNDS":
-                if len(args) != 1:
-                    return b"ERR usage: BOUNDS <item>\n", False
-                await pool.ensure_tenant("default")
-                lower, estimate, upper = await pool.bounds(
-                    "default", int(args[0])
-                )
-                return (
-                    f"OK {lower:.17g} {estimate:.17g} {upper:.17g}\n"
-                    .encode("ascii"),
-                    False,
-                )
-            if command == "HH":
-                if len(args) != 1:
-                    return b"ERR usage: HH <phi>\n", False
-                await pool.ensure_tenant("default")
-                _seq, rows = await pool.heavy_hitters("default", float(args[0]))
-                body = " ".join(f"{row[0]}:{row[1]:.17g}" for row in rows)
-                sep = " " if body else ""
-                return f"OK {len(rows)}{sep}{body}\n".encode("ascii"), False
-            if command == "DRAIN":
-                seqs = await pool.drain()
-                return f"OK {sum(seqs.values())}\n".encode("ascii"), False
-            if command == "SNAPSHOT":
-                seqs = await pool.snapshot_all()
-                return f"OK {sum(seqs.values())}\n".encode("ascii"), False
-            if command == "STATS":
-                return f"OK {json.dumps(pool.stats())}\n".encode("ascii"), False
-            return f"ERR unknown command {command}\n".encode("ascii"), False
-        except asyncio.IncompleteReadError:
-            raise ConnectionResetError("client vanished mid BIN frame")
-        except (ClusterError, ValueError, OverflowError) as exc:
-            return f"ERR {exc}\n".encode("ascii", errors="replace"), False
+    verbs = {
+        **LineServer.verbs,
+        "TCREATE": _verb_tcreate,
+        "TDROP": _verb_tdrop,
+        "TLIST": _verb_tlist,
+        "TBIN": _verb_tbin,
+        "TUPDATE": _verb_tupdate,
+        "TEST": _verb_test,
+        "TBOUNDS": _verb_tbounds,
+        "THH": _verb_thh,
+        "DRAIN": _verb_drain,
+    }

@@ -246,6 +246,20 @@ class IngestPipeline:
     def stats(self) -> ServiceStats:
         return self._stats
 
+    def stats_dict(self) -> dict:
+        """The ``STATS`` payload: role, watermarks, sketch size and error
+        bound, then the :class:`ServiceStats` counters."""
+        sketch = self._sketch
+        return {
+            "role": self.role,
+            "applied_seq": self._applied_seq,
+            "pending_items": self._pending_items,
+            "stream_weight": sketch.stream_weight,
+            "num_active": getattr(sketch, "num_active", None),
+            "maximum_error": sketch.maximum_error,
+            **self._stats.as_dict(),
+        }
+
     @property
     def applied_seq(self) -> int:
         """Sequence number of the last applied micro-batch."""

@@ -2,7 +2,9 @@
 
 Requests are single ASCII lines terminated by ``\\n``; responses are one
 line starting with ``OK``, ``ERR``, ``PONG``, or ``BYE``.  Item ids are
-decimal 64-bit unsigned integers, weights decimal floats.
+decimal 64-bit unsigned integers, weights finite positive decimal
+floats.  Both servers answer through one front end,
+:mod:`repro.service.frontend`, which lists the twelve verbs they share.
 
 =========================  =============================================
 request                    response
@@ -53,8 +55,11 @@ request                    response
 **Tenant verbs (cluster mode).**  A server started with ``--workers N``
 serves many named tenant streams, each its own sketch, routed across
 worker processes by a consistent-hash ring.  Tenant names match
-:data:`TENANT_NAME_PATTERN`.  The legacy single-tenant verbs above keep
-working: they operate on an implicitly created ``default`` tenant.
+:data:`TENANT_NAME_PATTERN`.  Of the shared verbs above, the
+single-tenant ones (``UPDATE`` .. ``HH``) operate on an implicitly
+created ``default`` tenant; ``STATS`` reports the pool, ``SNAPSHOT``
+checkpoints every tenant and answers the sum of their sequences, and
+``QEST``/``QHH`` read across tenants:
 
 ==============================  ========================================
 request                         response
@@ -81,10 +86,13 @@ request                         response
                                 frame applied; returns the watermark sum
 ==============================  ========================================
 
-Malformed requests get ``ERR <reason>`` and the connection stays open;
-update batches are validated atomically (a rejected batch ingests
-nothing).  The binary framing exists because parsing decimal text caps
-throughput far below the sketch engine — ``BIN`` moves arrays verbatim.
+Malformed requests get ``ERR <reason>`` and the connection stays open,
+except a ``BIN``/``BINS``/``TBIN`` line with the wrong arity or a count
+outside ``[1, MAX_BIN_ITEMS]``: its payload may be in flight, so the
+reply ends in ``; closing`` and the connection closes.  Update batches
+are validated atomically (a rejected batch ingests nothing).  The
+binary framing exists because parsing decimal text caps throughput far
+below the sketch engine — ``BIN`` moves arrays verbatim.
 
 **The replication stream.**  After ``REPL HELLO <last_applied_seq>`` is
 acknowledged, the connection leaves the request/response protocol: the
@@ -240,6 +248,23 @@ def encode_repl_fenced_frame(
     return b"".join(parts)
 
 
+async def _read_wal_record(reader: asyncio.StreamReader, what: str):
+    """Read and check the RWAL record ending a ``W`` or ``F`` frame;
+    returns ``(seq, items, weights)``."""
+    head = await reader.readexactly(WAL_RECORD_HEADER_SIZE)
+    seq, count, stored_crc = parse_wal_record_header(head)
+    if count > MAX_BIN_ITEMS:
+        raise ReplicationError(
+            f"{what} {seq} claims {count} updates "
+            f"(cap {MAX_BIN_ITEMS}); corrupt length prefix"
+        )
+    payload = await reader.readexactly(16 * count)
+    try:
+        return (seq, *decode_wal_payload(seq, count, stored_crc, payload))
+    except ValueError as exc:  # SerializationError included
+        raise ReplicationError(str(exc)) from exc
+
+
 async def read_repl_frame(reader: asyncio.StreamReader):
     """Read one replication frame from ``reader``.
 
@@ -257,21 +282,7 @@ async def read_repl_frame(reader: asyncio.StreamReader):
         return None
     try:
         if tag == REPL_FRAME_WAL:
-            head = await reader.readexactly(WAL_RECORD_HEADER_SIZE)
-            seq, count, stored_crc = parse_wal_record_header(head)
-            if count > MAX_BIN_ITEMS:
-                raise ReplicationError(
-                    f"replication frame {seq} claims {count} updates "
-                    f"(cap {MAX_BIN_ITEMS}); corrupt length prefix"
-                )
-            payload = await reader.readexactly(16 * count)
-            try:
-                items, weights = decode_wal_payload(
-                    seq, count, stored_crc, payload
-                )
-            except ValueError as exc:  # SerializationError included
-                raise ReplicationError(str(exc)) from exc
-            return "wal", seq, items, weights
+            return ("wal", *await _read_wal_record(reader, "replication frame"))
         if tag == REPL_FRAME_FENCED:
             (epoch,) = _EPOCH.unpack(await reader.readexactly(_EPOCH.size))
             (nstamps,) = _STAMP_COUNT.unpack(
@@ -306,21 +317,8 @@ async def read_repl_frame(reader: asyncio.StreamReader):
                     await reader.readexactly(_STAMP_SEQ.size)
                 )
                 stamps.append((session, frame_seq))
-            head = await reader.readexactly(WAL_RECORD_HEADER_SIZE)
-            seq, count, stored_crc = parse_wal_record_header(head)
-            if count > MAX_BIN_ITEMS:
-                raise ReplicationError(
-                    f"fenced frame {seq} claims {count} updates "
-                    f"(cap {MAX_BIN_ITEMS}); corrupt length prefix"
-                )
-            payload = await reader.readexactly(16 * count)
-            try:
-                items, weights = decode_wal_payload(
-                    seq, count, stored_crc, payload
-                )
-            except ValueError as exc:  # SerializationError included
-                raise ReplicationError(str(exc)) from exc
-            return "fenced", epoch, tuple(stamps), seq, items, weights
+            record = await _read_wal_record(reader, "fenced frame")
+            return ("fenced", epoch, tuple(stamps), *record)
         if tag == REPL_FRAME_SNAPSHOT:
             (length,) = _SNAP_LEN.unpack(
                 await reader.readexactly(_SNAP_LEN.size)
@@ -343,14 +341,19 @@ async def read_repl_frame(reader: asyncio.StreamReader):
     raise ReplicationError(f"unknown replication frame tag {tag!r}")
 
 
-def encode_bin_frame(items: np.ndarray, weights: np.ndarray) -> bytes:
-    """The ``BIN`` command line plus its binary payload, ready to send."""
-    n = len(items)
+def _binary_frame(line: str, items: np.ndarray, weights: np.ndarray) -> bytes:
+    """A command line followed by the ``BIN`` payload layout: the items
+    as little-endian uint64, then the weights as little-endian float64."""
     return (
-        f"BIN {n}\n".encode("ascii")
+        line.encode("ascii")
         + np.ascontiguousarray(items, dtype="<u8").tobytes()
         + np.ascontiguousarray(weights, dtype="<f8").tobytes()
     )
+
+
+def encode_bin_frame(items: np.ndarray, weights: np.ndarray) -> bytes:
+    """The ``BIN`` command line plus its binary payload, ready to send."""
+    return _binary_frame(f"BIN {len(items)}\n", items, weights)
 
 
 def encode_tbin_frame(
@@ -358,12 +361,7 @@ def encode_tbin_frame(
 ) -> bytes:
     """The ``TBIN`` command line plus payload: a ``BIN`` frame addressed
     to one named tenant stream (cluster mode's high-throughput path)."""
-    n = len(items)
-    return (
-        f"TBIN {tenant} {n}\n".encode("ascii")
-        + np.ascontiguousarray(items, dtype="<u8").tobytes()
-        + np.ascontiguousarray(weights, dtype="<f8").tobytes()
-    )
+    return _binary_frame(f"TBIN {tenant} {len(items)}\n", items, weights)
 
 
 def decode_bin_payload(payload: bytes, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -380,11 +378,8 @@ def encode_bins_frame(
 ) -> bytes:
     """A ``BINS`` command line plus payload: a ``BIN`` frame stamped with
     a client session id and frame sequence so resends are idempotent."""
-    n = len(items)
-    return (
-        f"BINS {n} {session} {frame_seq}\n".encode("ascii")
-        + np.ascontiguousarray(items, dtype="<u8").tobytes()
-        + np.ascontiguousarray(weights, dtype="<f8").tobytes()
+    return _binary_frame(
+        f"BINS {len(items)} {session} {frame_seq}\n", items, weights
     )
 
 

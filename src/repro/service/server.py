@@ -1,28 +1,37 @@
-"""The asyncio TCP front end over one :class:`IngestPipeline`.
+"""The single-node server: one :class:`IngestPipeline` behind the
+shared :class:`~repro.service.frontend.LineServer` front end.
 
-One :class:`StreamServer` accepts any number of concurrent connections;
-each connection is a coroutine reading line-protocol requests (see
+Each connection is a coroutine reading line-protocol requests (see
 :mod:`repro.service.protocol`) and answering from the shared pipeline.
 Updates flow through ``pipeline.submit`` — when the pipeline's bounded
 queue is full the handler awaits, the handler stops reading its socket,
 and TCP flow control pushes the backpressure all the way to the
 producer.  Queries are answered inline from the consistent
-between-batches view.
+between-batches view.  Beyond the shared verbs this server speaks
+``BINS``, ``QBOUNDS`` and the ``REPL`` family.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
-from typing import Optional
-
-from repro.errors import ReproError
+from repro.errors import ReplicationError
 from repro.service import protocol
+from repro.service.frontend import (
+    CloseConnection,
+    LineServer,
+    Reply,
+    bin_count,
+    json_reply,
+    ok_reply,
+    read_bin,
+    usage,
+)
 from repro.service.pipeline import IngestPipeline
 from repro.service.pipeline import MAX_RESUME_SESSIONS  # noqa: F401  (re-export)
 
+_NO_FAILOVER = b"ERR failover is not enabled on this node\n", False
 
-class StreamServer:
+
+class StreamServer(LineServer):
     """Serve one ingest pipeline over a TCP line protocol.
 
     Parameters
@@ -51,9 +60,8 @@ class StreamServer:
         self, pipeline: IngestPipeline, host: str = "127.0.0.1", port: int = 0,
         *, replication=None, follower=None, coordinator=None,
     ) -> None:
+        super().__init__(host, port)
         self._pipeline = pipeline
-        self._host = host
-        self._requested_port = port
         # Default to the pipeline's own manager: a server is replication-
         # capable whenever its pipeline publishes frames.
         self._replication = (
@@ -61,8 +69,6 @@ class StreamServer:
         )
         self._follower = follower
         self._coordinator = coordinator
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: set[asyncio.StreamWriter] = set()
 
     @property
     def pipeline(self) -> IngestPipeline:
@@ -91,359 +97,183 @@ class StreamServer:
         # knows once it is listening.
         self._coordinator = value
 
-    @property
-    def port(self) -> int:
-        """The bound port (valid after :meth:`start`)."""
-        if self._server is None:
-            raise RuntimeError("server is not started")
-        return self._server.sockets[0].getsockname()[1]
+    # -- accessors for the shared verbs ----------------------------------------
 
-    async def start(self) -> "StreamServer":
-        """Bind and begin accepting connections; returns self."""
-        if self._server is None:
-            self._server = await asyncio.start_server(
-                self._handle, self._host, self._requested_port,
-                limit=protocol.MAX_LINE_BYTES,
-            )
-        return self
+    async def _submit(self, items, weights) -> int:
+        await self._pipeline.submit(items, weights)
+        return len(items)
 
-    async def stop(self) -> None:
-        """Stop accepting and close active connections (pipeline untouched).
+    async def _estimate(self, item: int) -> float:
+        return self._pipeline.estimate(item)
 
-        Open connections are closed explicitly: ``Server.close()`` only
-        stops *accepting*, and on Python >= 3.12 ``wait_closed()`` waits
-        for every connection handler — an idle client blocked in
-        ``readline`` would hang shutdown forever otherwise.
-        """
-        if self._server is not None:
-            self._server.close()
-            for writer in list(self._connections):
-                writer.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def __aenter__(self) -> "StreamServer":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.stop()
-
-    # -- connection handling ---------------------------------------------------
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(b"ERR request line too long\n")
-                    break
-                if not line:
-                    break
-                if line[:10].upper().startswith(b"REPL HELLO"):
-                    # Subscription hands the whole connection over to the
-                    # replication stream; when it returns, we are done.
-                    await self._repl_hello(line, reader, writer)
-                    break
-                reply, close = await self._dispatch(line, reader)
-                writer.write(reply)
-                await writer.drain()
-                if close:
-                    break
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        except asyncio.CancelledError:
-            # Event-loop teardown cancelled this handler mid-request; the
-            # connection is going away regardless.  Swallowing (rather
-            # than propagating) sidesteps asyncio.streams' noisy
-            # exception() callback on cancelled connection tasks.
-            pass
-        finally:
-            self._connections.discard(writer)
-            try:
-                await writer.drain()
-            except (
-                ConnectionResetError, BrokenPipeError, asyncio.CancelledError
-            ):  # pragma: no cover
-                pass
-            writer.close()
-
-    async def _dispatch(
-        self, line: bytes, reader: asyncio.StreamReader
-    ) -> tuple[bytes, bool]:
-        """One request in, ``(response line, close connection?)`` out.
-
-        Most errors leave the connection open.  ``BIN`` framing errors
-        close it: once the client has started shipping a binary payload
-        the server cannot tell where the next command begins, so
-        resynchronizing is impossible — better a clean close than
-        parsing payload bytes as commands.
-        """
+    async def _bounds(self, item: int) -> tuple[float, float, float]:
         pipeline = self._pipeline
-        try:
-            text = line.decode("ascii").strip()
-        except UnicodeDecodeError:
-            return b"ERR request is not ASCII\n", False
-        if not text:
-            return b"ERR empty request\n", False
-        command, *args = text.split()
-        command = command.upper()
-        try:
-            if command == "PING":
-                return b"PONG\n", False
-            if command == "QUIT":
-                return b"BYE\n", True
-            if command == "UPDATE":
-                if len(args) not in (1, 2):
-                    return b"ERR usage: UPDATE <item> [weight]\n", False
-                weight = float(args[1]) if len(args) == 2 else 1.0
-                await pipeline.update(int(args[0]), weight)
-                return b"OK\n", False
-            if command == "BATCH":
-                if not args:
-                    return b"ERR usage: BATCH <item>:<weight> ...\n", False
-                items, weights = protocol.parse_batch_args(args)
-                await pipeline.submit(items, weights)
-                return f"OK {len(items)}\n".encode("ascii"), False
-            if command == "BIN":
-                try:
-                    count = int(args[0]) if len(args) == 1 else -1
-                except ValueError:
-                    count = -1
-                if not 0 < count <= protocol.MAX_BIN_ITEMS:
-                    # The payload may already be in flight and cannot be
-                    # skipped safely (its length is untrusted): close.
-                    return (
-                        f"ERR BIN count must be in "
-                        f"[1, {protocol.MAX_BIN_ITEMS}]; closing\n"
-                        .encode("ascii"),
-                        True,
-                    )
-                payload = await reader.readexactly(16 * count)
-                try:
-                    items, weights = protocol.decode_bin_payload(payload, count)
-                    await pipeline.submit(items, weights)
-                except (ReproError, ValueError, OverflowError) as exc:
-                    # Payload fully consumed: the stream is still in
-                    # sync, the connection can live on.
-                    return f"ERR {exc}\n".encode("ascii", "replace"), False
-                return f"OK {count}\n".encode("ascii"), False
-            if command == "BINS":
-                # BIN plus an idempotency stamp: <count> <session> <fseq>.
-                try:
-                    count = int(args[0]) if len(args) == 3 else -1
-                except ValueError:
-                    count = -1
-                if not 0 < count <= protocol.MAX_BIN_ITEMS:
-                    return (
-                        f"ERR BINS count must be in "
-                        f"[1, {protocol.MAX_BIN_ITEMS}]; closing\n"
-                        .encode("ascii"),
-                        True,
-                    )
-                session = args[1]
-                if not protocol.valid_session_id(session):
-                    # Stamps ride inside replication frames; an id the
-                    # frame codec would reject must never reach submit.
-                    return (
-                        b"ERR BINS session id must match "
-                        b"[A-Za-z0-9_.-]{1,64}; closing\n",
-                        True,
-                    )
-                try:
-                    frame_seq = int(args[2])
-                except ValueError:
-                    return (
-                        b"ERR BINS frame seq must be an integer; closing\n",
-                        True,
-                    )
-                payload = await reader.readexactly(16 * count)
-                if pipeline.seen_stamp(session, frame_seq):
-                    # Duplicate resend of an already-applied frame: the
-                    # payload is consumed, nothing is ingested.
-                    return b"OK 0\n", False
-                try:
-                    items, weights = protocol.decode_bin_payload(payload, count)
-                    # wait_applied: the OK must mean the stamp is in the
-                    # registry and the frame has been offered to
-                    # replication — a client resubmitting after failover
-                    # relies on the promoted follower remembering it.
-                    await pipeline.submit(
-                        items, weights, wait_applied=True,
-                        stamp=(session, frame_seq),
-                    )
-                except (ReproError, ValueError, OverflowError) as exc:
-                    return f"ERR {exc}\n".encode("ascii", "replace"), False
-                return f"OK {count}\n".encode("ascii"), False
-            if command == "EST":
-                if len(args) != 1:
-                    return b"ERR usage: EST <item>\n", False
-                estimate = pipeline.estimate(int(args[0]))
-                return f"OK {estimate:.17g}\n".encode("ascii"), False
-            if command == "QEST":
-                if len(args) != 1:
-                    return b"ERR usage: QEST <item>\n", False
-                # The staleness stamp and the estimate are read in the
-                # same event-loop turn: the sequence is exactly the
-                # between-batches state the answer came from.
-                seq = pipeline.applied_seq
-                estimate = pipeline.estimate(int(args[0]))
-                return f"OK {seq} {estimate:.17g}\n".encode("ascii"), False
-            if command == "QBOUNDS":
-                if len(args) != 1:
-                    return b"ERR usage: QBOUNDS <item>\n", False
-                item = int(args[0])
-                seq = pipeline.applied_seq
-                return (
-                    f"OK {seq} {pipeline.lower_bound(item):.17g} "
-                    f"{pipeline.estimate(item):.17g} "
-                    f"{pipeline.upper_bound(item):.17g}\n"
-                ).encode("ascii"), False
-            if command == "QHH":
-                if len(args) != 1:
-                    return b"ERR usage: QHH <phi>\n", False
-                seq = pipeline.applied_seq
-                rows = pipeline.heavy_hitters(float(args[0]))
-                body = " ".join(f"{row.item}:{row.estimate:.17g}" for row in rows)
-                sep = " " if body else ""
-                return (
-                    f"OK {seq} {len(rows)}{sep}{body}\n".encode("ascii"),
-                    False,
-                )
-            if command == "REPL":
-                return await self._dispatch_repl(args)
-            if command == "BOUNDS":
-                if len(args) != 1:
-                    return b"ERR usage: BOUNDS <item>\n", False
-                item = int(args[0])
-                return (
-                    f"OK {pipeline.lower_bound(item):.17g} "
-                    f"{pipeline.estimate(item):.17g} "
-                    f"{pipeline.upper_bound(item):.17g}\n"
-                ).encode("ascii"), False
-            if command == "HH":
-                if len(args) != 1:
-                    return b"ERR usage: HH <phi>\n", False
-                rows = pipeline.heavy_hitters(float(args[0]))
-                body = " ".join(f"{row.item}:{row.estimate:.17g}" for row in rows)
-                sep = " " if body else ""
-                return f"OK {len(rows)}{sep}{body}\n".encode("ascii"), False
-            if command == "STATS":
-                sketch = pipeline.sketch
-                payload = {
-                    "role": pipeline.role,
-                    "applied_seq": pipeline.applied_seq,
-                    "pending_items": pipeline.pending_items,
-                    "stream_weight": sketch.stream_weight,
-                    "num_active": getattr(sketch, "num_active", None),
-                    "maximum_error": sketch.maximum_error,
-                    **pipeline.stats.as_dict(),
-                }
-                return f"OK {json.dumps(payload)}\n".encode("ascii"), False
-            if command == "SNAPSHOT":
-                pipeline.snapshot_now()
-                return f"OK {pipeline.applied_seq}\n".encode("ascii"), False
-            return f"ERR unknown command {command}\n".encode("ascii"), False
-        except asyncio.IncompleteReadError:
-            raise ConnectionResetError("client vanished mid BIN frame")
-        except (ReproError, ValueError, OverflowError) as exc:
-            return f"ERR {exc}\n".encode("ascii", errors="replace"), False
-
-    async def _dispatch_repl(self, args: list[str]) -> tuple[bytes, bool]:
-        """``REPL STATUS/PROMOTE/ELECT/LEADER/PEERS`` (``REPL HELLO`` is
-        handled in :meth:`_handle` — it takes the connection over)."""
-        pipeline = self._pipeline
-        coordinator = self._coordinator
-        sub = args[0].upper() if args else ""
-        if sub == "STATUS":
-            payload = {
-                "role": pipeline.role,
-                "applied_seq": pipeline.applied_seq,
-                "epoch": pipeline.epoch,
-            }
-            if self._replication is not None:
-                payload["replication"] = self._replication.status()
-            if self.follower is not None:
-                payload["follower"] = self.follower.status()
-            if coordinator is not None:
-                payload["failover"] = coordinator.status()
-            return f"OK {json.dumps(payload)}\n".encode("ascii"), False
-        if sub == "PROMOTE":
-            # Idempotent: promoting the current leader is a no-op that
-            # reports its applied sequence — operator scripts and retried
-            # requests must not fail because a prior attempt landed.
-            if not pipeline.is_replica:
-                return f"OK {pipeline.applied_seq}\n".encode("ascii"), False
-            if coordinator is not None:
-                seq = await coordinator.force_promote()
-                return f"OK {seq}\n".encode("ascii"), False
-            if self.follower is None:
-                return b"ERR this node is not a follower\n", False
-            seq = await self.follower.promote()
-            return f"OK {seq}\n".encode("ascii"), False
-        if sub == "ELECT":
-            if coordinator is None:
-                return b"ERR failover is not enabled on this node\n", False
-            epoch, last_seq, candidate = protocol.parse_elect_args(args[1:])
-            granted, our_epoch, leader = coordinator.handle_vote_request(
-                epoch, last_seq, candidate
-            )
-            body = protocol.encode_vote_reply(granted, our_epoch, leader)
-            return f"OK {body}\n".encode("ascii"), False
-        if sub == "LEADER":
-            if coordinator is None:
-                return b"ERR failover is not enabled on this node\n", False
-            epoch, leader_id, addr = protocol.parse_leader_args(args[1:])
-            accepted, our_epoch = await coordinator.handle_leader_announcement(
-                epoch, leader_id, addr
-            )
-            if accepted:
-                return f"OK {our_epoch}\n".encode("ascii"), False
-            return (
-                f"ERR stale leader announcement; epoch is {our_epoch}\n"
-                .encode("ascii"),
-                False,
-            )
-        if sub == "PEERS":
-            if coordinator is None:
-                return b"ERR failover is not enabled on this node\n", False
-            payload = coordinator.peers_payload()
-            return f"OK {json.dumps(payload)}\n".encode("ascii"), False
         return (
-            b"ERR usage: REPL STATUS | REPL PROMOTE | REPL PEERS | "
-            b"REPL ELECT <epoch> <last_seq> <id> | "
-            b"REPL LEADER <epoch> <id> <addr> | REPL HELLO <seq> [epoch]\n",
-            False,
+            pipeline.lower_bound(item),
+            pipeline.estimate(item),
+            pipeline.upper_bound(item),
         )
 
-    async def _repl_hello(
-        self, line: bytes, reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Validate a subscription and hand the connection to the
-        replication stream; returning closes the connection."""
-        if self._replication is None:
-            writer.write(b"ERR replication is not enabled on this node\n")
-            await writer.drain()
-            return
-        parts = line.split()
+    async def _heavy_hitters(self, phi: float) -> list:
+        return self._pipeline.heavy_hitters(phi)
+
+    # The staleness stamp and the answer are read in the same event-loop
+    # turn: the sequence is exactly the between-batches state the answer
+    # came from.
+
+    async def _stamped_estimate(self, item: int) -> tuple[int, float]:
+        return self._pipeline.applied_seq, self._pipeline.estimate(item)
+
+    async def _stamped_heavy_hitters(self, phi: float) -> tuple[int, list]:
+        return self._pipeline.applied_seq, self._pipeline.heavy_hitters(phi)
+
+    async def _snapshot(self) -> int:
+        self._pipeline.snapshot_now()
+        return self._pipeline.applied_seq
+
+    async def _stats(self) -> dict:
+        return self._pipeline.stats_dict()
+
+    # -- verbs only a single node speaks ---------------------------------------
+
+    async def _verb_bins(self, args, reader, writer) -> Reply:
+        """``BINS <count> <session> <fseq>``: BIN plus an idempotency stamp."""
+        count_text = args[0] if len(args) == 3 else ""
+        bin_count("BINS", count_text)  # the count is checked first
+        session = args[1]
+        if not protocol.valid_session_id(session):
+            # Stamps ride inside replication frames; an id the frame
+            # codec would reject must never reach submit.
+            raise CloseConnection(
+                "BINS session id must match [A-Za-z0-9_.-]{1,64}; closing"
+            )
         try:
-            last_seq = int(parts[2]) if len(parts) in (3, 4) else -1
-            hello_epoch = int(parts[3]) if len(parts) == 4 else 0
+            frame_seq = int(args[2])
+        except ValueError:
+            raise CloseConnection(
+                "BINS frame seq must be an integer; closing"
+            ) from None
+        items, weights = await read_bin(reader, "BINS", count_text)
+        pipeline = self._pipeline
+        if pipeline.seen_stamp(session, frame_seq):
+            # Duplicate resend of an already-applied frame: the payload
+            # is consumed, nothing is ingested.
+            return b"OK 0\n", False
+        # wait_applied: the OK must mean the stamp is in the registry and
+        # the frame has been offered to replication — a client
+        # resubmitting after failover relies on the promoted follower
+        # remembering it.
+        await pipeline.submit(
+            items, weights, wait_applied=True, stamp=(session, frame_seq)
+        )
+        return ok_reply(len(items)), False
+
+    async def _verb_qbounds(self, args, reader, writer) -> Reply:
+        if len(args) != 1:
+            return usage("QBOUNDS <item>")
+        seq = self._pipeline.applied_seq
+        return ok_reply(seq, *await self._bounds(int(args[0]))), False
+
+    async def _verb_repl(self, args, reader, writer) -> Reply:
+        handler = self.repl_verbs.get(args[0].upper() if args else "")
+        if handler is None:
+            return usage(
+                "REPL STATUS | REPL PROMOTE | REPL PEERS | REPL ELECT <epoch> "
+                "<last_seq> <id> | REPL LEADER <epoch> <id> <addr> | "
+                "REPL HELLO <seq> [epoch]"
+            )
+        return await handler(self, args[1:], reader, writer)
+
+    # -- REPL subcommands ------------------------------------------------------
+
+    async def _repl_status(self, args, reader, writer) -> Reply:
+        pipeline = self._pipeline
+        payload = {
+            "role": pipeline.role,
+            "applied_seq": pipeline.applied_seq,
+            "epoch": pipeline.epoch,
+        }
+        if self._replication is not None:
+            payload["replication"] = self._replication.status()
+        if self.follower is not None:
+            payload["follower"] = self.follower.status()
+        if self._coordinator is not None:
+            payload["failover"] = self._coordinator.status()
+        return json_reply(payload), False
+
+    async def _repl_promote(self, args, reader, writer) -> Reply:
+        # Idempotent: promoting the current leader is a no-op that
+        # reports its applied sequence — operator scripts and retried
+        # requests must not fail because a prior attempt landed.
+        if not self._pipeline.is_replica:
+            return ok_reply(self._pipeline.applied_seq), False
+        if self._coordinator is not None:
+            return ok_reply(await self._coordinator.force_promote()), False
+        if self.follower is None:
+            return b"ERR this node is not a follower\n", False
+        return ok_reply(await self.follower.promote()), False
+
+    async def _repl_elect(self, args, reader, writer) -> Reply:
+        if self._coordinator is None:
+            return _NO_FAILOVER
+        epoch, last_seq, candidate = protocol.parse_elect_args(args)
+        granted, our_epoch, leader = self._coordinator.handle_vote_request(
+            epoch, last_seq, candidate
+        )
+        return ok_reply(protocol.encode_vote_reply(granted, our_epoch, leader)), False
+
+    async def _repl_leader(self, args, reader, writer) -> Reply:
+        if self._coordinator is None:
+            return _NO_FAILOVER
+        epoch, leader_id, addr = protocol.parse_leader_args(args)
+        accepted, our_epoch = await self._coordinator.handle_leader_announcement(
+            epoch, leader_id, addr
+        )
+        if not accepted:
+            raise ReplicationError(
+                f"stale leader announcement; epoch is {our_epoch}"
+            )
+        return ok_reply(our_epoch), False
+
+    async def _repl_peers(self, args, reader, writer) -> Reply:
+        if self._coordinator is None:
+            return _NO_FAILOVER
+        return json_reply(self._coordinator.peers_payload()), False
+
+    async def _repl_hello(self, args, reader, writer) -> Reply:
+        """``REPL HELLO <seq> [epoch]``: hand the connection over to the
+        replication stream.  The connection closes afterwards, whatever
+        the outcome."""
+        if self._replication is None:
+            return b"ERR replication is not enabled on this node\n", True
+        try:
+            last_seq = int(args[0]) if len(args) in (1, 2) else -1
+            hello_epoch = int(args[1]) if len(args) == 2 else 0
         except ValueError:
             last_seq = hello_epoch = -1
         if last_seq < 0 or hello_epoch < 0:
-            writer.write(b"ERR usage: REPL HELLO <last_applied_seq> [epoch]\n")
-            await writer.drain()
-            return
-        writer.write(
-            f"OK {self._pipeline.applied_seq} {self._pipeline.epoch}\n"
-            .encode("ascii")
-        )
+            return b"ERR usage: REPL HELLO <last_applied_seq> [epoch]\n", True
+        pipeline = self._pipeline
+        writer.write(ok_reply(pipeline.applied_seq, pipeline.epoch))
         await writer.drain()
         await self._replication.stream(
-            self._pipeline, reader, writer, last_seq, hello_epoch=hello_epoch
+            pipeline, reader, writer, last_seq, hello_epoch=hello_epoch
         )
+        return b"", True
+
+    verbs = {
+        **LineServer.verbs,
+        "BINS": _verb_bins,
+        "QBOUNDS": _verb_qbounds,
+        "REPL": _verb_repl,
+    }
+
+    #: ``REPL`` subcommand -> handler.
+    repl_verbs = {
+        "STATUS": _repl_status,
+        "PROMOTE": _repl_promote,
+        "ELECT": _repl_elect,
+        "LEADER": _repl_leader,
+        "PEERS": _repl_peers,
+        "HELLO": _repl_hello,
+    }

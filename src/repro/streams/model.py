@@ -7,6 +7,7 @@ single validation path every ``update_batch`` implementation shares.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -16,6 +17,17 @@ from repro.hashing.mixers import items_to_u64_array
 from repro.types import StreamUpdate
 
 
+def check_weight(item: object, weight: float) -> None:
+    """Raise :class:`~repro.errors.InvalidUpdateError` unless ``weight``
+    is finite and strictly positive (the paper's ``delta_j > 0``).  NaN
+    fails every comparison, so the chained test rejects it too."""
+    if not 0 < weight < math.inf:
+        problem = "positive" if weight <= 0 else "finite"
+        raise InvalidUpdateError(
+            f"update weights must be {problem}, got {weight} for item {item}"
+        )
+
+
 def as_batch(
     items: object, weights: object = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -23,7 +35,8 @@ def as_batch(
 
     ``items`` may be any 1-D integer array or sequence (converted
     losslessly — see :func:`repro.hashing.mixers.items_to_u64_array`);
-    ``weights`` must align element-wise and be strictly positive, and
+    ``weights`` must align element-wise and be finite and strictly
+    positive (see :func:`check_weight`), and
     defaults to unit weights.  Raises
     :class:`~repro.errors.InvalidUpdateError` before any caller state
     can change, so a rejected batch is always a no-op.
@@ -41,12 +54,10 @@ def as_batch(
         raise InvalidUpdateError(
             f"items and weights must align, got {items.shape} vs {weights.shape}"
         )
-    if n and not (weights > 0).all():
-        bad = int(np.flatnonzero(weights <= 0)[0])
-        raise InvalidUpdateError(
-            f"update weights must be positive, got {weights[bad]} "
-            f"for item {int(items[bad])}"
-        )
+    # min/max are NaN when any weight is: both comparisons then fail.
+    if n and not (0 < weights.min() and weights.max() < math.inf):
+        bad = int(np.flatnonzero(~((weights > 0) & (weights < math.inf)))[0])
+        check_weight(int(items[bad]), weights[bad])
     return items, weights
 
 
@@ -54,8 +65,8 @@ def as_updates(raw: Iterable) -> Iterator[StreamUpdate]:
     """Normalize an iterable into :class:`~repro.types.StreamUpdate` values.
 
     Accepts plain item ids (unit weight), ``(item, weight)`` tuples, and
-    ready-made ``StreamUpdate`` instances.  Weights must be strictly
-    positive, matching the paper's model where ``delta_j > 0``.
+    ready-made ``StreamUpdate`` instances.  Weights must be finite and
+    strictly positive, matching the paper's model where ``delta_j > 0``.
     """
     for entry in raw:
         if isinstance(entry, StreamUpdate):
@@ -66,8 +77,5 @@ def as_updates(raw: Iterable) -> Iterator[StreamUpdate]:
             update = StreamUpdate(entry[0], float(entry[1]))
         else:
             update = StreamUpdate(entry, 1.0)
-        if update.weight <= 0:
-            raise InvalidUpdateError(
-                f"update weights must be positive, got {update.weight} for item {update.item}"
-            )
+        check_weight(update.item, update.weight)
         yield update

@@ -12,6 +12,11 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 
@@ -117,3 +122,49 @@ def assert_bounds_valid(sketch, exact, tolerance=1e-9) -> None:
         assert abs(sketch.estimate(item) - frequency) <= (
             sketch.maximum_error + tolerance
         )
+
+
+def session_processes(session_id: int) -> list[int]:
+    """Live (non-zombie) pids of one process session, read from /proc."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as fh:
+                # Fields after the parenthesised command: state, ppid,
+                # pgrp, session, ...
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[3]) == session_id and fields[0] != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+def serve_in_session(*args: str) -> tuple[subprocess.Popen, str]:
+    """Start ``python -m repro.service --port 0 ARGS`` as the leader of a
+    new session; returns the process and its banner line."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "--port", "0", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        start_new_session=True,
+    )
+    return process, process.stdout.readline()
+
+
+def wait_session_gone(session_id: int, timeout: float) -> list[int]:
+    """Poll until no process of the session is left; returns the
+    survivors (empty on success), killing them so nothing leaks."""
+    deadline = time.monotonic() + timeout
+    while True:
+        survivors = session_processes(session_id)
+        if not survivors or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    for pid in survivors:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    return survivors

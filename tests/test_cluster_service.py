@@ -8,13 +8,19 @@ from tier-1, run by the ``cluster-tests`` CI job under both
 
 import asyncio
 import json
+import signal
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from helpers import zipf_batch
+from helpers import (
+    serve_in_session,
+    session_processes,
+    wait_session_gone,
+    zipf_batch,
+)
 from repro.errors import ClusterError, InvalidParameterError
 from repro.service.client import ClusterClient, ServiceError
 from repro.service.cluster import (
@@ -352,3 +358,27 @@ def test_workers_flag_serves_cluster():
     finally:
         process.terminate()
         process.wait(timeout=30)
+
+
+@pytest.mark.parametrize("transport", ["shm", "pipe"])
+@pytest.mark.parametrize(
+    "kill", [signal.SIGTERM, signal.SIGKILL], ids=["sigterm", "sigkill"]
+)
+def test_no_process_outlives_the_acceptor(kill, transport):
+    """SIGTERM takes the clean shutdown (exit 0, workers stopped); after
+    a SIGKILL of the acceptor the orphaned workers notice and stop on
+    their own.  Either way no process of the server's session — forked
+    workers, resource tracker — survives 10 s."""
+    process, banner = serve_in_session(
+        "--workers", "2", "--frame-transport", transport
+    )
+    try:
+        assert "workers=2" in banner, banner
+        assert len(session_processes(process.pid)) >= 3  # acceptor + workers
+        process.send_signal(kill)
+        status = process.wait(timeout=30)
+    finally:
+        survivors = wait_session_gone(process.pid, timeout=10.0)
+        process.stdout.close()
+    assert survivors == []
+    assert status == (0 if kill == signal.SIGTERM else -signal.SIGKILL)

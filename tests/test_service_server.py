@@ -1,9 +1,12 @@
 """TCP front end: protocol conformance, concurrent clients, durability."""
 
 import asyncio
+import signal
 
 import numpy as np
 import pytest
+
+from helpers import serve_in_session, wait_session_gone
 
 from repro import (
     ExactCounter,
@@ -244,3 +247,28 @@ def test_quit_closes_connection():
         await pipeline.stop()
 
     run(main())
+
+
+def test_sigterm_takes_the_clean_shutdown(tmp_path):
+    """``python -m repro.service`` treats SIGTERM like SIGINT: it exits 0
+    after the final checkpoint, so a restart replays nothing."""
+    process, banner = serve_in_session("--data-dir", str(tmp_path), "--k", "64")
+    try:
+        port = int(banner.split(" on ")[1].split(":")[1].split()[0])
+
+        async def feed():
+            async with await ServiceClient.connect("127.0.0.1", port) as client:
+                await client.send_batch(np.arange(100, dtype=np.uint64))
+                while (await client.stats())["pending_items"]:
+                    await asyncio.sleep(0.01)
+                return (await client.stats())["applied_seq"]
+
+        applied = run(feed())
+        process.send_signal(signal.SIGTERM)
+        status = process.wait(timeout=30)
+    finally:
+        survivors = wait_session_gone(process.pid, timeout=10.0)
+        process.stdout.close()
+    assert (status, survivors) == (0, [])
+    assert applied >= 1
+    assert SnapshotManager(str(tmp_path)).latest_snapshot_seq() == applied
