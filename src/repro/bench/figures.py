@@ -1040,9 +1040,9 @@ def failover_mttr_metrics(seed: int = 2016) -> dict:
 
     A three-node replica set (leader + two followers, each with its own
     snapshot/WAL directory and a :class:`~repro.service.failover.
-    FailoverCoordinator`) serves a :class:`~repro.service.client.
-    ReconnectingServiceClient`.  Half the feed goes in, the leader is
-    crash-killed, and the client keeps writing: the write-unavailability
+    FailoverCoordinator`) serves a retrying :class:`~repro.service.client.
+    ServiceClient`.  Half the feed goes in, the leader is crash-killed,
+    and the client keeps writing: the write-unavailability
     window (MTTR) is the gap between the kill and the first batch the
     *promoted* leader acknowledges, with detection latency read off the
     winner's coordinator instrumentation.
@@ -1060,7 +1060,7 @@ def failover_mttr_metrics(seed: int = 2016) -> dict:
 
     import numpy as np
 
-    from repro.service.client import ReconnectingServiceClient
+    from repro.service.client import RetryPolicy, ServiceClient
     from repro.service.failover import (
         EpochStore,
         FailoverConfig,
@@ -1094,7 +1094,7 @@ def failover_mttr_metrics(seed: int = 2016) -> dict:
 
     pipe_config = PipelineConfig(max_batch_items=8_192, flush_interval=0.002)
     repl_config = ReplicationConfig(
-        retry_initial=0.01, retry_max=0.1, max_retries=400,
+        retry=RetryPolicy(max_retries=400, backoff_initial=0.01, backoff_max=0.1),
         heartbeat_interval=0.1,
     )
     failover_config = FailoverConfig(
@@ -1152,10 +1152,10 @@ def failover_mttr_metrics(seed: int = 2016) -> dict:
             servers[node_id].coordinator = coordinator
             coordinators[node_id] = await coordinator.start()
 
-        client = ReconnectingServiceClient(
+        client = ServiceClient(
             "127.0.0.1", servers["n0"].port,
             peers=[addrs["n1"], addrs["n2"]],
-            max_retries=400, backoff_initial=0.01, backoff_max=0.05,
+            retry=RetryPolicy(max_retries=400, backoff_initial=0.01, backoff_max=0.05),
         )
         try:
             half = num_batches // 2

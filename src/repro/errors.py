@@ -60,10 +60,10 @@ class ReadOnlyReplicaError(ServiceClosedError):
 class ServiceUnavailableError(ServiceClosedError):
     """No live leader could be reached before the client's deadline.
 
-    Raised by :class:`~repro.service.client.ReconnectingServiceClient`
-    and :class:`~repro.service.replication.FollowerService` when their
-    jittered retry loops exhaust the configured overall deadline — the
-    whole replica set is down or unreachable, not just one node.  It
+    Raised by a retrying :class:`~repro.service.client.ServiceClient`,
+    and recorded by a :class:`~repro.service.replication.FollowerService`,
+    when their :class:`~repro.service.client.RetryPolicy` deadline runs
+    out — the whole replica set is down or unreachable.  It
     subclasses :class:`ServiceClosedError` so existing handlers keep
     working; catch it specifically to distinguish "cluster gone" from
     "this connection died".

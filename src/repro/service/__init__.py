@@ -18,7 +18,8 @@ deployment shape:
   :class:`~repro.service.client.ServiceClient` — a TCP line-protocol
   front end (``python -m repro.service`` runs one).  It and
   ``ClusterServer`` below share one connection loop and verb table,
-  :class:`~repro.service.frontend.LineServer`.
+  :class:`~repro.service.frontend.LineServer`; the one client, with an
+  optional :class:`~repro.service.client.RetryPolicy`, speaks to both.
 - :class:`~repro.service.cluster.WorkerPool` /
   :class:`~repro.service.cluster.ClusterServer` — the multi-process
   tenant cluster (``python -m repro.service --workers N``): named tenant
@@ -39,11 +40,7 @@ failover guarantees.
 from repro.service.pipeline import IngestPipeline, PipelineConfig, ServiceStats
 from repro.service.snapshot import SnapshotManager
 from repro.service.server import StreamServer
-from repro.service.client import (
-    ClusterClient,
-    ReconnectingServiceClient,
-    ServiceClient,
-)
+from repro.service.client import ClusterClient, RetryPolicy, ServiceClient
 from repro.service.cluster import (
     ClusterConfig,
     ClusterServer,
@@ -77,7 +74,7 @@ __all__ = [
     "StreamServer",
     "ServiceClient",
     "ClusterClient",
-    "ReconnectingServiceClient",
+    "RetryPolicy",
     "ClusterConfig",
     "ClusterServer",
     "TenantSpec",

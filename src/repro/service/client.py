@@ -12,6 +12,9 @@ import functools
 import json
 import os
 import random
+import time
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +24,89 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.service import protocol
+
+#: Seconds a leader probe may take when the retry policy has no deadline.
+PROBE_TIMEOUT = 1.0
+
+#: What a lost connection raises (a timeout: the deadline ran out).
+_CONNECTION_ERRORS = (OSError, ServiceClosedError, asyncio.TimeoutError)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How a reconnect loop backs off and when it gives up — the one
+    policy of the retrying :class:`ServiceClient` and of
+    :class:`~repro.service.replication.FollowerService`.
+
+    Attributes
+    ----------
+    max_retries:
+        Consecutive failed attempts tolerated; the next failure gives up
+        with :class:`~repro.errors.ServiceClosedError` ("gave up after").
+    backoff_initial / backoff_max:
+        The first sleep, doubled after every failure up to the cap.
+    backoff_jitter:
+        Random slack multiplied onto every sleep (each delay is scaled by
+        ``1 + backoff_jitter * random()``), de-synchronizing the
+        reconnect stampede of many peers losing the same node.
+    deadline:
+        Overall wall-clock budget in seconds, or ``None`` for none.  A
+        loop that cannot succeed in time stops with
+        :class:`~repro.errors.ServiceUnavailableError` instead of hanging
+        against a replica set that is simply gone.
+    """
+
+    max_retries: int = 6
+    backoff_initial: float = 0.05
+    backoff_max: float = 1.0
+    backoff_jitter: float = 0.25
+    deadline: Optional[float] = None
+
+
+class RetryBudget:
+    """One run of a :class:`RetryPolicy`: the failures so far, the next
+    backoff, and the deadline clock."""
+
+    def __init__(self, policy: RetryPolicy) -> None:
+        self.policy = policy
+        self.failures = 0
+        self._backoff = policy.backoff_initial
+        self._started = time.monotonic()
+
+    def remaining(self) -> Optional[float]:
+        """Seconds left before the deadline (``None``: no deadline)."""
+        if self.policy.deadline is None:
+            return None
+        return self.policy.deadline - (time.monotonic() - self._started)
+
+    async def within(self, awaitable, default: Optional[float] = None):
+        """Await ``awaitable`` inside what is left of the deadline, or
+        within ``default`` seconds when the policy sets none (``None``:
+        unbounded).  Expiry raises :class:`asyncio.TimeoutError`."""
+        timeout = default if self.policy.deadline is None else self.remaining()
+        if timeout is None:
+            return await awaitable
+        return await asyncio.wait_for(awaitable, max(timeout, 0.0))
+
+    async def backoff(self, what: str) -> None:
+        """Count one failed attempt, then sleep its jittered backoff;
+        raises once the attempts or the deadline (``what`` failed within
+        it) run out."""
+        policy = self.policy
+        self.failures += 1
+        if self.failures > policy.max_retries:
+            raise ServiceClosedError(
+                f"gave up after {self.failures - 1} reconnect attempts"
+            )
+        delay = self._backoff * (1.0 + policy.backoff_jitter * random.random())
+        remaining = self.remaining()
+        if remaining is not None and delay > remaining:
+            raise ServiceUnavailableError(
+                f"{what} within the {policy.deadline:g}s retry deadline "
+                f"({self.failures} attempts)"
+            )
+        await asyncio.sleep(delay)
+        self._backoff = min(self._backoff * 2.0, policy.backoff_max)
 
 
 class ServiceError(ValueError):
@@ -48,272 +134,41 @@ def _hh_pairs(args: list[str]) -> list[tuple[int, float]]:
     return pairs
 
 
-class ServiceClient:
-    """One connection to a :class:`~repro.service.server.StreamServer`.
+def _ok_args(text: str) -> list[str]:
+    """The arguments of an ``OK ...`` reply line."""
+    parts = text.split()
+    if not parts or parts[0] != "OK":
+        raise ServiceError(f"unexpected response {text!r}")
+    return parts[1:]
 
-    Use :meth:`connect`::
+
+def _phi(phi: float) -> str:
+    # repr() is the shortest round-trip form: '%g' would round phi to 6
+    # significant digits and could drop a true heavy hitter at the edge.
+    return repr(float(phi))
+
+
+class ServiceClient:
+    """The client of a :class:`~repro.service.server.StreamServer` or a
+    :class:`~repro.service.cluster.ClusterServer` (the ``t*`` verbs)::
 
         client = await ServiceClient.connect("127.0.0.1", port)
         await client.update(7, 2.0)
         estimate = await client.estimate(7)
         await client.close()
-    """
 
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-
-    @classmethod
-    async def connect(cls, host: str, port: int) -> "ServiceClient":
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=protocol.MAX_LINE_BYTES
-        )
-        return cls(reader, writer)
-
-    async def close(self) -> None:
-        """Send ``QUIT`` and close the connection."""
-        if self._writer.is_closing():
-            return
-        try:
-            await self._request(b"QUIT\n")
-        except (ConnectionError, ServiceClosedError):  # pragma: no cover
-            pass
-        self._writer.close()
-
-    async def __aenter__(self) -> "ServiceClient":
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
-
-    # -- plumbing --------------------------------------------------------------
-
-    async def _request(self, payload: bytes) -> str:
-        self._writer.write(payload)
-        await self._writer.drain()
-        line = await self._reader.readline()
-        if not line:
-            raise ServiceClosedError("server closed the connection")
-        text = line.decode("ascii").rstrip("\n")
-        if text.startswith("ERR"):
-            raise ServiceError(text[4:] or "unspecified server error")
-        return text
-
-    @staticmethod
-    def _ok_args(text: str) -> list[str]:
-        parts = text.split()
-        if not parts or parts[0] != "OK":
-            raise ServiceError(f"unexpected response {text!r}")
-        return parts[1:]
-
-    # -- commands --------------------------------------------------------------
-
-    async def ping(self) -> bool:
-        return await self._request(b"PING\n") == "PONG"
-
-    async def update(self, item: int, weight: float = 1.0) -> None:
-        # repr() is the shortest round-trip form: '%g'-style formatting
-        # would silently truncate weights to 6 significant digits.
-        await self._request(f"UPDATE {int(item)} {weight!r}\n".encode("ascii"))
-
-    async def send_batch(self, items, weights=None, *, binary: bool = True) -> int:
-        """Ship one update batch; returns the server-acknowledged count.
-
-        ``binary=True`` (default) uses the ``BIN`` frame — arrays travel
-        verbatim; the text ``BATCH`` form exists for debugging by hand.
-        Batches beyond the protocol's per-frame cap are chunked
-        transparently; an empty batch is a no-op (matching
-        ``IngestPipeline.submit``).
-        """
-        if binary:
-            encode, chunk = protocol.encode_bin_frame, protocol.MAX_BIN_ITEMS
-        else:
-            # Text pairs are ~25 bytes each; keep BATCH lines far inside
-            # the server's MAX_LINE_BYTES.
-            encode, chunk = protocol.encode_batch_line, 10_000
-        return await self._send_frames(encode, items, weights, chunk)
-
-    async def _send_frames(self, encode, items, weights, chunk: int) -> int:
-        """Send ``encode(items, weights)`` per frame of at most ``chunk``
-        updates; returns the acknowledged total."""
-        acknowledged = 0
-        for frame in _frames(items, weights, chunk):
-            reply = self._ok_args(await self._request(encode(*frame)))
-            acknowledged += int(reply[0])
-        return acknowledged
-
-    async def estimate(self, item: int) -> float:
-        reply = self._ok_args(await self._request(f"EST {int(item)}\n".encode()))
-        return float(reply[0])
-
-    async def bounds(self, item: int) -> tuple[float, float, float]:
-        """``(lower_bound, estimate, upper_bound)`` for one item."""
-        reply = self._ok_args(await self._request(f"BOUNDS {int(item)}\n".encode()))
-        return float(reply[0]), float(reply[1]), float(reply[2])
-
-    async def heavy_hitters(self, phi: float) -> list[tuple[int, float]]:
-        """``(item, estimate)`` pairs, sorted by estimate descending."""
-        reply = self._ok_args(await self._request(f"HH {phi:g}\n".encode()))
-        return _hh_pairs(reply)
-
-    async def stats(self) -> dict:
-        text = await self._request(b"STATS\n")
-        return json.loads(text[3:])
-
-    async def snapshot(self) -> int:
-        """Force a checkpoint; returns the checkpointed sequence number."""
-        reply = self._ok_args(await self._request(b"SNAPSHOT\n"))
-        return int(reply[0])
-
-    # -- staleness-stamped queries (read replicas) -----------------------------
-
-    async def qest(self, item: int) -> tuple[int, float]:
-        """``(applied_seq, estimate)`` — the answer plus the exact
-        between-batches sequence it was read at (the staleness stamp)."""
-        reply = self._ok_args(await self._request(f"QEST {int(item)}\n".encode()))
-        return int(reply[0]), float(reply[1])
-
-    async def qbounds(self, item: int) -> tuple[int, float, float, float]:
-        """``(applied_seq, lower, estimate, upper)`` for one item."""
-        reply = self._ok_args(
-            await self._request(f"QBOUNDS {int(item)}\n".encode())
-        )
-        return int(reply[0]), float(reply[1]), float(reply[2]), float(reply[3])
-
-    async def qhh(self, phi: float) -> tuple[int, list[tuple[int, float]]]:
-        """``(applied_seq, [(item, estimate), ...])``, estimate-sorted."""
-        reply = self._ok_args(await self._request(f"QHH {phi:g}\n".encode()))
-        return int(reply[0]), _hh_pairs(reply[1:])
-
-    # -- replication admin -----------------------------------------------------
-
-    async def repl_status(self) -> dict:
-        """Role, applied sequence, and follower/leader replication state."""
-        text = await self._request(b"REPL STATUS\n")
-        return json.loads(text[3:])
-
-    async def promote(self) -> int:
-        """Promote the connected follower; returns its sequence at
-        promotion.  Idempotent: on a node that already leads this is a
-        no-op reporting its applied sequence."""
-        reply = self._ok_args(await self._request(b"REPL PROMOTE\n"))
-        return int(reply[0])
-
-    async def repl_peers(self) -> dict:
-        """The node's view of the replica set (``REPL PEERS``)."""
-        text = await self._request(b"REPL PEERS\n")
-        return protocol.parse_peers_reply(text[3:])
-
-
-class ClusterClient(ServiceClient):
-    """A :class:`ServiceClient` extended with the tenant verbs.
-
-    Connects to a :class:`~repro.service.cluster.ClusterServer`; the
-    inherited single-tenant methods keep working (the cluster routes
-    them to its implicit ``default`` tenant).
-    """
-
-    async def tcreate(
-        self,
-        name: str,
-        *,
-        k: int | None = None,
-        backend: str | None = None,
-        seed: int | None = None,
-        shards: int | None = None,
-    ) -> dict:
-        """Register one tenant; returns its effective spec as a dict.
-
-        Optional parameters fall back to the server's defaults; the
-        protocol line is positional, so unspecified parameters before a
-        specified one travel as ``-`` ("use the server default").
-        """
-        parts: list[str] = ["TCREATE", name]
-        tail = [k, backend, seed, shards]
-        last = max(
-            (i for i, value in enumerate(tail) if value is not None),
-            default=-1,
-        )
-        for value in tail[: last + 1]:
-            parts.append("-" if value is None else str(value))
-        text = await self._request((" ".join(parts) + "\n").encode("ascii"))
-        return json.loads(text[3:])
-
-    async def tdrop(self, name: str) -> None:
-        await self._request(f"TDROP {name}\n".encode("ascii"))
-
-    async def tlist(self) -> list[dict]:
-        text = await self._request(b"TLIST\n")
-        return json.loads(text[3:])
-
-    async def tsend_batch(self, name: str, items, weights=None) -> int:
-        """Ship one batch to a named tenant as ``TBIN`` frames."""
-        return await self._send_frames(
-            functools.partial(protocol.encode_tbin_frame, name),
-            items, weights, protocol.MAX_BIN_ITEMS,
-        )
-
-    async def tupdate(self, name: str, item: int, weight: float = 1.0) -> None:
-        await self._request(
-            f"TUPDATE {name} {int(item)} {weight!r}\n".encode("ascii")
-        )
-
-    async def testimate(self, name: str, item: int) -> float:
-        reply = self._ok_args(
-            await self._request(f"TEST {name} {int(item)}\n".encode("ascii"))
-        )
-        return float(reply[0])
-
-    async def tbounds(self, name: str, item: int) -> tuple[float, float, float]:
-        reply = self._ok_args(
-            await self._request(f"TBOUNDS {name} {int(item)}\n".encode("ascii"))
-        )
-        return float(reply[0]), float(reply[1]), float(reply[2])
-
-    async def thh(
-        self, name: str, phi: float
-    ) -> tuple[int, list[tuple[int, float]]]:
-        """``(watermark, [(item, estimate), ...])`` — the tenant's
-        merged heavy hitters (folds a sharded tenant's substreams)."""
-        reply = self._ok_args(
-            await self._request(f"THH {name} {phi:g}\n".encode("ascii"))
-        )
-        return int(reply[0]), _hh_pairs(reply[1:])
-
-    async def drain(self) -> int:
-        """Await every in-flight frame applied; returns the watermark sum."""
-        reply = self._ok_args(await self._request(b"DRAIN\n"))
-        return int(reply[0])
-
-
-class ReconnectingServiceClient:
-    """A :class:`ServiceClient` that survives connection loss *and*
-    leadership changes.
-
-    Wraps the plain client with bounded, jittered exponential-backoff
-    reconnects.  Queries are idempotent and simply retried.  Update
-    batches travel as ``BINS`` frames — ``BIN`` stamped with a
-    per-client session id and a monotonically increasing frame sequence
-    — so a frame whose ``OK`` was lost in a crash can be resubmitted
-    safely: the server's idempotency registry answers ``OK 0`` for an
-    already-applied frame instead of ingesting it twice.  The stamps are
-    replicated inside fenced frames, so the guarantee holds **across
-    failover**: a follower promoted mid-request recognizes the resend.
-
-    Failover handling: the client learns the replica set from ``REPL
-    PEERS`` (seeded by the ``peers`` argument and refreshed whenever it
-    reconnects somewhere new).  A dead connection rotates through known
-    replicas; a node answering "read replica" redirects the client to
-    the leader that node knows.  No configuration beyond one reachable
-    replica is required.
-
-    Retries are bounded twice over: ``max_retries`` consecutive failed
-    attempts re-raise the underlying error, and an optional wall-clock
-    ``deadline`` (seconds per request, across all retries) raises
-    :class:`~repro.errors.ServiceUnavailableError` when no live leader
-    was found in time — the knob latency-sensitive callers set.
+    With ``retry=None`` (the default) it is one connection sending
+    ``BIN`` frames, and every error propagates.  With a
+    :class:`RetryPolicy` it connects on first use and rides out lost
+    connections and leader changes: it learns the replica set from
+    ``REPL PEERS`` (seeded by ``peers``) and follows a "read replica"
+    refusal to the leader.  Queries are simply retried; update batches
+    travel as ``BINS`` frames stamped ``(session, frame_seq)``, which the
+    server's replicated idempotency registry answers ``OK 0`` when
+    resent, so every batch lands exactly once, across failover too.
+    Unstamped writes (``UPDATE``, ``BATCH``, ``T*``) are resent only if
+    they never reached the wire.  The policy bounds each request as a
+    whole, leader probes and refusals included.
     """
 
     def __init__(
@@ -321,24 +176,17 @@ class ReconnectingServiceClient:
         host: str,
         port: int,
         *,
-        peers: list[str] | None = None,
-        max_retries: int = 6,
-        backoff_initial: float = 0.05,
-        backoff_max: float = 1.0,
-        backoff_jitter: float = 0.25,
-        deadline: float | None = None,
-        session: str | None = None,
+        retry: Optional[RetryPolicy] = None,
+        peers: Optional[list[str]] = None,
+        session: Optional[str] = None,
     ) -> None:
         self._host = host
         self._port = port
-        self._max_retries = max_retries
-        self._backoff_initial = backoff_initial
-        self._backoff_max = backoff_max
-        self._backoff_jitter = backoff_jitter
-        self._deadline = deadline
+        self._retry = retry
+        self._reader: Optional[asyncio.StreamReader] = None
+        self._writer: Optional[asyncio.StreamWriter] = None
         self._session = session if session is not None else os.urandom(8).hex()
         self._frame_seq = 0
-        self._client: ServiceClient | None = None
         # Known replica addresses ("host:port"), current target first.
         self._peer_addrs: list[str] = [f"{host}:{port}"]
         for addr in peers or []:
@@ -348,6 +196,30 @@ class ReconnectingServiceClient:
         self.resubmits = 0
         self.redirects = 0
 
+    @classmethod
+    async def connect(cls, host: str, port: int) -> "ServiceClient":
+        """A plain client, already connected to ``host:port``."""
+        client = cls(host, port)
+        await client._connection()
+        return client
+
+    async def close(self) -> None:
+        """Send ``QUIT`` and close the connection."""
+        writer = self._writer
+        if writer is None or writer.is_closing():
+            return
+        try:
+            await self._exchange(b"QUIT\n")
+        except (ConnectionError, ServiceClosedError):  # pragma: no cover
+            pass
+        writer.close()
+
+    async def __aenter__(self) -> "ServiceClient":
+        return self
+
+    async def __aexit__(self, *exc_info: object) -> None:
+        await self.close()
+
     @property
     def session(self) -> str:
         """The idempotency session id stamped onto every BINS frame."""
@@ -355,7 +227,7 @@ class ReconnectingServiceClient:
 
     @property
     def leader_addr(self) -> str:
-        """The address this client currently believes leads."""
+        """The address this client currently targets (believes leads)."""
         return f"{self._host}:{self._port}"
 
     @property
@@ -363,15 +235,92 @@ class ReconnectingServiceClient:
         """Every replica address this client has learned."""
         return list(self._peer_addrs)
 
-    async def _ensure(self) -> ServiceClient:
-        if self._client is None or self._client._writer.is_closing():
-            self._client = await ServiceClient.connect(self._host, self._port)
-        return self._client
+    # -- plumbing --------------------------------------------------------------
 
-    async def _drop(self) -> None:
-        if self._client is not None:
-            self._client._writer.close()
-            self._client = None
+    async def _connection(
+        self,
+    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+        """The current connection, opened on first use."""
+        reader, writer = self._reader, self._writer
+        if reader is None or writer is None:
+            reader, writer = await asyncio.open_connection(
+                self._host, self._port, limit=protocol.MAX_LINE_BYTES
+            )
+            self._reader, self._writer = reader, writer
+        return reader, writer
+
+    def _drop(self) -> None:
+        """Abandon the connection without a ``QUIT``."""
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
+
+    async def _exchange(self, payload: bytes) -> str:
+        """One request and its reply line on the current connection."""
+        reader, writer = await self._connection()
+        writer.write(payload)
+        await writer.drain()
+        line = await reader.readline()
+        if not line:
+            raise ServiceClosedError("server closed the connection")
+        text = line.decode("ascii").rstrip("\n")
+        if text.startswith("ERR"):
+            raise ServiceError(text[4:] or "unspecified server error")
+        return text
+
+    async def _request(
+        self, payload: bytes, *, stamped: bool = False, once: bool = False
+    ) -> str:
+        """Send one request; returns its reply line.  Under a retry
+        policy, ``stamped`` marks a ``BINS`` frame (a resend counts as a
+        resubmit) and ``once`` a write never to resend once sent."""
+        if self._retry is None:
+            return await self._exchange(payload)
+        budget = RetryBudget(self._retry)
+        sent = False  # an earlier attempt put this payload on the wire
+
+        async def attempt() -> str:
+            nonlocal sent
+            if self._writer is not None and self._writer.is_closing():
+                self._drop()
+            await self._connection()
+            if sent and stamped:
+                self.resubmits += 1
+            sent = True
+            return await self._exchange(payload)
+
+        while True:
+            failure: Exception
+            try:
+                return await budget.within(attempt())
+            except ServiceError as exc:
+                if "read replica" not in str(exc):
+                    raise  # a real answer: no retry, nothing was lost
+                # We wrote to a follower: someone else leads now.
+                sent = False  # the frame was refused, not lost
+                failure, refused = exc, True
+            except _CONNECTION_ERRORS as exc:
+                if sent and once:
+                    self._drop()
+                    raise
+                failure, refused = exc, False
+            self._drop()
+            try:
+                await budget.backoff("no live leader")
+            except ServiceClosedError as give_up:
+                raise give_up from failure
+            if not refused:
+                self.reconnects += 1
+            # Look for the leader before spending another attempt; a node
+            # that just refused a write is not it.
+            found = await self._redirect_to_leader(
+                budget, exclude=self.leader_addr if refused else None
+            )
+            remaining = budget.remaining()
+            if refused and not found and (remaining is None or remaining > 0):
+                # No node names a leader (a search the deadline cut short
+                # is reported by the next attempt, which times out at once).
+                raise failure
 
     def _retarget(self, addr: str) -> None:
         host, _sep, port_text = addr.rpartition(":")
@@ -403,21 +352,25 @@ class ReconnectingServiceClient:
                 return addr
         return None
 
-    async def _redirect_to_leader(self, exclude: str | None = None) -> bool:
+    async def _redirect_to_leader(
+        self, budget: RetryBudget, exclude: str | None = None
+    ) -> bool:
         """Ask every known replica who leads; retarget on an answer.
 
         Returns True when a leader hint was found (even if it later
         turns out equally dead — the retry loop handles that).
         ``exclude`` names an address known *not* to lead (it just
-        refused a write): never fall back to it.
+        refused a write): never fall back to it.  Each probe is bounded
+        by what is left of ``budget``'s deadline (else
+        :data:`PROBE_TIMEOUT`), so a wedged peer cannot stall the loop.
         """
         standalone: str | None = None
         for addr in list(self._peer_addrs):
             host, _sep, port_text = addr.rpartition(":")
             probe: ServiceClient | None = None
             try:
-                probe = await ServiceClient.connect(host, int(port_text))
-                doc = await probe.repl_peers()
+                probe = ServiceClient(host, int(port_text))
+                doc = await budget.within(probe.repl_peers(), PROBE_TIMEOUT)
             except (ServiceError, ReplicationError):
                 # The node answered but has no failover plane (or spoke
                 # garbage): possibly a standalone leader.  Keep it as
@@ -425,11 +378,11 @@ class ReconnectingServiceClient:
                 if standalone is None and addr != exclude:
                     standalone = addr
                 continue
-            except (ConnectionError, ServiceClosedError, OSError, ValueError):
+            except _CONNECTION_ERRORS + (ValueError,):
                 continue
             finally:
                 if probe is not None:
-                    probe._writer.close()
+                    probe._drop()
             leader = self._learn_peers(doc)
             if leader is not None and leader != exclude:
                 self._retarget(leader)
@@ -440,124 +393,193 @@ class ReconnectingServiceClient:
             return True
         return False
 
-    async def _with_retry(self, payload: bytes, *, resubmittable: bool = False) -> str:
-        """Send one request, reconnecting (bounded) on connection loss
-        and following leadership changes.
+    async def _line(self, *words: object, **options) -> str:
+        """Send one text command (``words`` joined by spaces); returns
+        the reply line."""
+        line = " ".join(map(str, words)) + "\n"
+        return await self._request(line.encode("ascii"), **options)
 
-        Safe only for idempotent payloads — queries, and BINS frames
-        (their dedup stamp is what makes the resend idempotent).
-        """
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        backoff = self._backoff_initial
-        failures = 0
-        refusals = 0
-        transmitted = False
-        while True:
-            try:
-                client = await self._ensure()
-                if transmitted and resubmittable:
-                    self.resubmits += 1
-                try:
-                    transmitted = True
-                    return await client._request(payload)
-                except ServiceError as exc:
-                    if "read replica" not in str(exc):
-                        raise  # a real answer: no retry, nothing was lost
-                    # We wrote to a follower: someone else leads now.
-                    transmitted = False  # the frame was refused, not lost
-                    refusals += 1
-                    if refusals > self._max_retries or (
-                        not await self._redirect_to_leader(
-                            exclude=self.leader_addr
-                        )
-                    ):
-                        raise
-                    await self._drop()
-                    continue
-            except ServiceError:
-                raise
-            except (ConnectionError, ServiceClosedError, OSError) as exc:
-                await self._drop()
-                failures += 1
-                give_up: Exception | None = None
-                if failures > self._max_retries:
-                    give_up = ServiceClosedError(
-                        f"gave up after {failures - 1} reconnect attempts"
-                    )
-                delay = backoff * (
-                    1.0 + self._backoff_jitter * random.random()
-                )
-                if self._deadline is not None and (
-                    loop.time() + delay - started > self._deadline
-                ):
-                    give_up = ServiceUnavailableError(
-                        f"no live leader within the {self._deadline:g}s "
-                        f"deadline ({failures} attempts)"
-                    )
-                if give_up is not None:
-                    raise give_up from exc
-                self.reconnects += 1
-                # The old leader may be gone for good: look for a new one
-                # before burning another attempt on the same address.
-                await self._redirect_to_leader()
-                await asyncio.sleep(delay)
-                backoff = min(backoff * 2.0, self._backoff_max)
+    async def _ok(self, *words: object, **options) -> list[str]:
+        """The arguments of the ``OK ...`` reply to one text command."""
+        return _ok_args(await self._line(*words, **options))
 
-    async def close(self) -> None:
-        if self._client is not None:
-            await self._client.close()
-            self._client = None
+    async def _json(self, *words: object, **options):
+        """The JSON document of the ``OK <json>`` reply to one command."""
+        return json.loads((await self._line(*words, **options))[3:])
 
-    async def __aenter__(self) -> "ReconnectingServiceClient":
-        return self
+    async def _send_frames(
+        self, encode, items, weights, chunk: int, **options
+    ) -> int:
+        """Send ``encode(items, weights)`` per frame of at most ``chunk``
+        updates; returns the acknowledged total."""
+        acknowledged = 0
+        for frame in _frames(items, weights, chunk):
+            reply = await self._request(encode(*frame), **options)
+            acknowledged += int(_ok_args(reply)[0])
+        return acknowledged
 
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
+    def _encode_bins_frame(self, items, weights) -> bytes:
+        self._frame_seq += 1
+        return protocol.encode_bins_frame(
+            items, weights, self._session, self._frame_seq
+        )
 
     # -- commands --------------------------------------------------------------
 
     async def ping(self) -> bool:
-        return (await self._with_retry(b"PING\n")) == "PONG"
+        return await self._line("PING") == "PONG"
 
-    async def send_batch(self, items, weights=None) -> int:
-        """Ship one update batch exactly once; returns the applied count.
+    async def update(self, item: int, weight: float = 1.0) -> None:
+        # repr() is the shortest round-trip form: '%g'-style formatting
+        # would silently truncate weights to 6 significant digits.
+        await self._line("UPDATE", int(item), repr(weight), once=True)
 
-        Chunked like :meth:`ServiceClient.send_batch`; each chunk is an
-        idempotent BINS frame, resubmitted after a reconnect only when
-        its acknowledgement never arrived.
+    async def send_batch(self, items, weights=None, *, binary: bool = True) -> int:
+        """Ship one update batch; returns the server-acknowledged count.
+
+        ``binary=True`` (default) uses the ``BIN`` frame — arrays travel
+        verbatim — or, under a retry policy, the idempotent ``BINS``
+        frame, so each chunk lands exactly once even when its
+        acknowledgement is lost and it is resubmitted.  The text
+        ``BATCH`` form exists for debugging by hand.  Batches beyond the
+        protocol's per-frame cap are chunked transparently; an empty
+        batch is a no-op (matching ``IngestPipeline.submit``).
         """
-        acknowledged = 0
-        for part_items, part_weights in _frames(
-            items, weights, protocol.MAX_BIN_ITEMS
-        ):
-            self._frame_seq += 1
-            payload = protocol.encode_bins_frame(
-                part_items, part_weights, self._session, self._frame_seq
+        if not binary:
+            # Text pairs are ~25 bytes each; keep BATCH lines far inside
+            # the server's MAX_LINE_BYTES.
+            return await self._send_frames(
+                protocol.encode_batch_line, items, weights, 10_000, once=True
             )
-            reply = await self._with_retry(payload, resubmittable=True)
-            acknowledged += int(ServiceClient._ok_args(reply)[0])
-        return acknowledged
+        encode = (
+            protocol.encode_bin_frame if self._retry is None
+            else self._encode_bins_frame
+        )
+        return await self._send_frames(
+            encode, items, weights, protocol.MAX_BIN_ITEMS, stamped=True
+        )
 
     async def estimate(self, item: int) -> float:
-        reply = await self._with_retry(f"EST {int(item)}\n".encode())
-        return float(ServiceClient._ok_args(reply)[0])
+        return float((await self._ok("EST", int(item)))[0])
 
-    async def qest(self, item: int) -> tuple[int, float]:
-        reply = await self._with_retry(f"QEST {int(item)}\n".encode())
-        seq, estimate = ServiceClient._ok_args(reply)
-        return int(seq), float(estimate)
+    async def bounds(self, item: int) -> tuple[float, float, float]:
+        """``(lower_bound, estimate, upper_bound)`` for one item."""
+        lower, estimate, upper = map(float, await self._ok("BOUNDS", int(item)))
+        return lower, estimate, upper
+
+    async def heavy_hitters(self, phi: float) -> list[tuple[int, float]]:
+        """``(item, estimate)`` pairs, sorted by estimate descending."""
+        return _hh_pairs(await self._ok("HH", _phi(phi)))
 
     async def stats(self) -> dict:
-        return json.loads((await self._with_retry(b"STATS\n"))[3:])
+        return await self._json("STATS")
+
+    async def snapshot(self) -> int:
+        """Force a checkpoint; returns the checkpointed sequence number."""
+        return int((await self._ok("SNAPSHOT"))[0])
+
+    # -- staleness-stamped queries (read replicas) -----------------------------
+
+    async def qest(self, item: int) -> tuple[int, float]:
+        """``(applied_seq, estimate)`` — the answer plus the exact
+        between-batches sequence it was read at (the staleness stamp)."""
+        seq, estimate = await self._ok("QEST", int(item))
+        return int(seq), float(estimate)
+
+    async def qbounds(self, item: int) -> tuple[int, float, float, float]:
+        """``(applied_seq, lower, estimate, upper)`` for one item."""
+        seq, lower, estimate, upper = await self._ok("QBOUNDS", int(item))
+        return int(seq), float(lower), float(estimate), float(upper)
+
+    async def qhh(self, phi: float) -> tuple[int, list[tuple[int, float]]]:
+        """``(applied_seq, [(item, estimate), ...])``, estimate-sorted."""
+        reply = await self._ok("QHH", _phi(phi))
+        return int(reply[0]), _hh_pairs(reply[1:])
+
+    # -- replication admin -----------------------------------------------------
 
     async def repl_status(self) -> dict:
-        return json.loads((await self._with_retry(b"REPL STATUS\n"))[3:])
+        """Role, applied sequence, and follower/leader replication state."""
+        return await self._json("REPL", "STATUS")
+
+    async def promote(self) -> int:
+        """Promote the connected follower; returns its sequence at
+        promotion.  Idempotent: on a node that already leads this is a
+        no-op reporting its applied sequence."""
+        return int((await self._ok("REPL", "PROMOTE"))[0])
 
     async def repl_peers(self) -> dict:
-        """The replica set as the current target knows it (also folds
-        the addresses into this client's own address book)."""
-        text = await self._with_retry(b"REPL PEERS\n")
+        """The node's view of the replica set (``REPL PEERS``); also
+        folds its addresses into this client's own address book."""
+        text = await self._line("REPL", "PEERS")
         doc = protocol.parse_peers_reply(text[3:])
         self._learn_peers(doc)
         return doc
+
+    # -- tenant verbs (ClusterServer) ------------------------------------------
+    #
+    # A ClusterServer also answers the single-tenant verbs above, routing
+    # them to its implicit ``default`` tenant.
+
+    async def tcreate(
+        self,
+        name: str,
+        *,
+        k: int | None = None,
+        backend: str | None = None,
+        seed: int | None = None,
+        shards: int | None = None,
+    ) -> dict:
+        """Register one tenant; returns its effective spec as a dict.
+
+        Optional parameters fall back to the server's defaults; the
+        protocol line is positional, so unspecified parameters before a
+        specified one travel as ``-`` ("use the server default").
+        """
+        tail = [k, backend, seed, shards]
+        last = max(
+            (i for i, value in enumerate(tail) if value is not None),
+            default=-1,
+        )
+        params = ["-" if value is None else value for value in tail[: last + 1]]
+        return await self._json("TCREATE", name, *params, once=True)
+
+    async def tdrop(self, name: str) -> None:
+        await self._line("TDROP", name, once=True)
+
+    async def tlist(self) -> list[dict]:
+        return await self._json("TLIST")
+
+    async def tsend_batch(self, name: str, items, weights=None) -> int:
+        """Ship one batch to a named tenant as ``TBIN`` frames."""
+        return await self._send_frames(
+            functools.partial(protocol.encode_tbin_frame, name),
+            items, weights, protocol.MAX_BIN_ITEMS, once=True,
+        )
+
+    async def tupdate(self, name: str, item: int, weight: float = 1.0) -> None:
+        await self._line("TUPDATE", name, int(item), repr(weight), once=True)
+
+    async def testimate(self, name: str, item: int) -> float:
+        return float((await self._ok("TEST", name, int(item)))[0])
+
+    async def tbounds(self, name: str, item: int) -> tuple[float, float, float]:
+        reply = await self._ok("TBOUNDS", name, int(item))
+        lower, estimate, upper = map(float, reply)
+        return lower, estimate, upper
+
+    async def thh(
+        self, name: str, phi: float
+    ) -> tuple[int, list[tuple[int, float]]]:
+        """``(watermark, [(item, estimate), ...])`` — the tenant's
+        merged heavy hitters (folds a sharded tenant's substreams)."""
+        reply = await self._ok("THH", name, _phi(phi))
+        return int(reply[0]), _hh_pairs(reply[1:])
+
+    async def drain(self) -> int:
+        """Await every in-flight frame applied; returns the watermark sum."""
+        return int((await self._ok("DRAIN"))[0])
+
+
+#: The tenant verbs live on :class:`ServiceClient`; the old name stays.
+ClusterClient = ServiceClient

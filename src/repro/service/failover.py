@@ -60,8 +60,13 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import InvalidParameterError, ReplicationError
+from repro.errors import (
+    InvalidParameterError,
+    ReplicationError,
+    ServiceClosedError,
+)
 from repro.service import protocol
+from repro.service.client import ServiceClient
 from repro.service.pipeline import IngestPipeline
 from repro.service.replication import FollowerService, ReplicationConfig
 
@@ -539,23 +544,20 @@ class FailoverCoordinator:
             return None
 
     async def _ask(self, addr: str, line: bytes) -> Optional[str]:
-        """One request/one reply against a peer; None on any failure."""
+        """One request/one reply against a peer; None on any failure,
+        an ``ERR`` answer included."""
         host, _sep, port_text = addr.rpartition(":")
-        writer = None
+        peer: Optional[ServiceClient] = None
         try:
-            async with asyncio.timeout(self._config.rpc_timeout):
-                reader, writer = await asyncio.open_connection(
-                    host, int(port_text), limit=protocol.MAX_LINE_BYTES
-                )
-                writer.write(line)
-                await writer.drain()
-                reply = await reader.readline()
-            return reply.decode("ascii", "replace").strip() or None
-        except (OSError, asyncio.TimeoutError, ValueError):
+            peer = ServiceClient(host, int(port_text))
+            return await asyncio.wait_for(
+                peer._request(line), self._config.rpc_timeout
+            )
+        except (OSError, asyncio.TimeoutError, ValueError, ServiceClosedError):
             return None
         finally:
-            if writer is not None:
-                writer.close()
+            if peer is not None:
+                peer._drop()
 
     async def _become_leader(self, epoch: int) -> None:
         if self.follower is not None:
@@ -652,8 +654,9 @@ class FailoverCoordinator:
                 self._next_election_at = now + self._jittered(
                     config.election_backoff
                 )
-                async with asyncio.timeout(config.election_timeout):
-                    await self.run_election()
+                await asyncio.wait_for(
+                    self.run_election(), config.election_timeout
+                )
             except asyncio.CancelledError:
                 raise
             except asyncio.TimeoutError:

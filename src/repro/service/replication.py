@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -59,6 +58,7 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.service import protocol
+from repro.service.client import RetryBudget, RetryPolicy
 from repro.service.pipeline import IngestPipeline
 from repro.service.snapshot import decode_snapshot, encode_snapshot
 
@@ -77,33 +77,18 @@ class ReplicationConfig:
         frames are in flight unacknowledged.
     heartbeat_interval:
         Seconds between ``H`` frames to an idle, caught-up follower.
-    retry_initial / retry_max / max_retries:
-        Follower-side reconnect policy: exponential backoff starting at
-        ``retry_initial``, capped at ``retry_max``, giving up after
-        ``max_retries`` consecutive failed attempts (a successful
-        subscription resets the budget).
-    retry_jitter:
-        Random slack multiplied onto every backoff sleep (each delay is
-        scaled by ``1 + retry_jitter * random()``), de-synchronizing the
-        reconnect stampede of many followers after a leader crash.
-    retry_deadline:
-        Overall wall-clock budget, in seconds, for regaining a
-        subscription.  ``None`` (the default) keeps only the per-attempt
-        budget; with a deadline set, a follower that cannot resubscribe
-        in time stops with :class:`~repro.errors.ServiceUnavailableError`
-        as its last error instead of hanging forever against a cluster
-        that is simply gone.  A successful subscription resets the
-        clock.
+    retry:
+        The follower's reconnect :class:`~repro.service.client.
+        RetryPolicy` (8 attempts, backoff capped at 2.0 s by default).
+        Out of attempts or past its ``deadline``, the follower stops
+        (``exhausted``) and stays up for reads; a successful
+        subscription starts a fresh budget.
     """
 
     ring_frames: int = 512
     max_unacked_frames: int = 256
     heartbeat_interval: float = 0.5
-    retry_initial: float = 0.05
-    retry_max: float = 2.0
-    max_retries: int = 8
-    retry_jitter: float = 0.25
-    retry_deadline: Optional[float] = None
+    retry: RetryPolicy = RetryPolicy(max_retries=8, backoff_max=2.0)
 
 
 class _FollowerHandle:
@@ -376,8 +361,8 @@ class FollowerService:
         The leader's service address (the normal protocol port —
         replication shares it via ``REPL HELLO``).
     config:
-        A :class:`ReplicationConfig`; only the follower-side fields
-        (retry/backoff/jitter/deadline) are used here.
+        A :class:`ReplicationConfig`; only its ``retry`` policy is
+        used here.
     on_epoch:
         Optional callback invoked with the new epoch whenever the leader
         teaches this follower a higher one (handshake or fenced frame).
@@ -538,11 +523,7 @@ class FollowerService:
     # -- the replication loop --------------------------------------------------
 
     async def _run(self) -> None:
-        config = self._config
-        loop = asyncio.get_running_loop()
-        backoff = config.retry_initial
-        failures = 0
-        deadline_start = loop.time()
+        budget = RetryBudget(self._config.retry)
         while not self._stopping:
             writer = None
             try:
@@ -550,10 +531,8 @@ class FollowerService:
                     self._host, self._port, limit=protocol.MAX_LINE_BYTES
                 )
                 await self._subscribe(reader, writer)
-                # A successful subscription resets both retry budgets.
-                failures = 0
-                backoff = config.retry_initial
-                deadline_start = loop.time()
+                # A successful subscription starts a fresh retry budget.
+                budget = RetryBudget(self._config.retry)
                 await self._consume(reader, writer)
             except asyncio.CancelledError:
                 raise
@@ -571,26 +550,19 @@ class FollowerService:
                     writer.close()
             if self._stopping:
                 return
-            failures += 1
-            if failures > config.max_retries:
+            try:
+                await budget.backoff(
+                    f"no leader reachable at {self._host}:{self._port}"
+                )
+            except ServiceUnavailableError as exc:
+                self._last_error = exc
                 self._exhausted = True
                 return
-            # Jittered backoff: many followers losing the same leader must
-            # not reconnect in lockstep.
-            delay = backoff * (1.0 + config.retry_jitter * random.random())
-            if (
-                config.retry_deadline is not None
-                and loop.time() + delay - deadline_start > config.retry_deadline
-            ):
+            except ServiceClosedError:
+                # Out of attempts: last_error keeps the final failure.
                 self._exhausted = True
-                self._last_error = ServiceUnavailableError(
-                    f"no leader reachable at {self._host}:{self._port} within "
-                    f"the {config.retry_deadline:.1f}s retry deadline"
-                )
                 return
             self.reconnects += 1
-            await asyncio.sleep(delay)
-            backoff = min(backoff * 2.0, config.retry_max)
 
     async def _subscribe(self, reader, writer) -> None:
         writer.write(

@@ -37,6 +37,7 @@ from repro.service.replication import (
     ReplicationConfig,
     ReplicationManager,
 )
+from repro.service.client import RetryPolicy
 
 from test_service_recovery import (  # noqa: F401  (re-exported for tests)
     SKETCH_MAKERS,
@@ -51,10 +52,8 @@ CLUSTER_CFG = PipelineConfig(
 )
 
 #: Fast follower retries so kill/restart scenarios converge quickly.
-FAST_REPL = ReplicationConfig(
-    retry_initial=0.01, retry_max=0.1, max_retries=200,
-    heartbeat_interval=0.1,
-)
+FAST_RETRY = RetryPolicy(max_retries=200, backoff_initial=0.01, backoff_max=0.1)
+FAST_REPL = ReplicationConfig(retry=FAST_RETRY, heartbeat_interval=0.1)
 
 
 #: The mid-stream-cut proxy this harness used to define locally; PR 9's
@@ -235,9 +234,7 @@ async def run_fault_scenario(
     compared bytes-for-bytes by the caller.
     """
     repl = ReplicationConfig(
-        ring_frames=ring_frames,
-        retry_initial=0.01, retry_max=0.1, max_retries=200,
-        heartbeat_interval=0.1,
+        ring_frames=ring_frames, retry=FAST_RETRY, heartbeat_interval=0.1,
     )
     cluster = ReplicaCluster(
         make_sketch, tmp_path, via_proxy=(fault == "drop-stream"),

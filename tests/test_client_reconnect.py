@@ -1,7 +1,7 @@
 """Client-side fault tolerance: reconnect, resubmit, and dedup.
 
-:class:`ReconnectingServiceClient` promises exactly-once ingestion
-across server restarts: update batches travel as ``BINS`` frames whose
+A :class:`ServiceClient` with a :class:`RetryPolicy` promises
+exactly-once ingestion across server restarts: update batches travel as ``BINS`` frames whose
 (session, frame_seq) stamp makes resends idempotent, so an ``OK`` lost
 to a crash is retried without double counting and a delivered batch is
 never re-applied.  The oracle here is exact by construction — the
@@ -21,11 +21,8 @@ from repro import (
     PipelineConfig,
     ServiceClosedError,
 )
-from repro.service import (
-    ReconnectingServiceClient,
-    ServiceClient,
-    StreamServer,
-)
+from repro.errors import ServiceUnavailableError
+from repro.service import RetryPolicy, ServiceClient, StreamServer
 from repro.service import protocol
 from helpers import assert_bounds_valid, await_until, exact_of, zipf_batch
 
@@ -66,12 +63,17 @@ def exact_counts(batches):
     return exact_of(*batches)
 
 
-def fast_client(port, **overrides):
+def fast_client(port, *, session=None, peers=None, **overrides):
+    """A retrying client with a fast policy; ``overrides`` are
+    :class:`RetryPolicy` fields."""
     options = dict(
         max_retries=40, backoff_initial=0.01, backoff_max=0.05
     )
     options.update(overrides)
-    return ReconnectingServiceClient("127.0.0.1", port, **options)
+    return ServiceClient(
+        "127.0.0.1", port, retry=RetryPolicy(**options),
+        session=session, peers=peers,
+    )
 
 
 def test_restarts_mid_stream_lose_and_duplicate_nothing():
@@ -228,6 +230,45 @@ def test_queries_retry_through_a_restart():
     run(main())
 
 
+def test_every_query_verb_retries_through_a_restart():
+    """Every verb goes through the one retry loop — heavy hitters and
+    the stamped queries too, not just the few a separate reconnecting
+    wrapper used to copy."""
+
+    async def main():
+        pipeline = exact_pipeline()
+        await pipeline.start()
+        server = StreamServer(pipeline)
+        await server.start()
+        port = server.port
+        client = fast_client(port)
+        try:
+            await client.send_batch(
+                np.array([5, 5, 5, 6], dtype=np.uint64), np.ones(4)
+            )
+            await await_until(
+                lambda: pipeline.pending_items == 0, message="backlog drained"
+            )
+            queries = [
+                (lambda: client.heavy_hitters(0.5), [(5, 3.0)]),
+                (lambda: client.qhh(0.5), (pipeline.applied_seq, [(5, 3.0)])),
+                (lambda: client.bounds(6), (1.0, 1.0, 1.0)),
+                (lambda: client.qbounds(6), (pipeline.applied_seq, 1.0, 1.0, 1.0)),
+            ]
+            for restarts, (query, expected) in enumerate(queries, start=1):
+                await server.stop()
+                server = StreamServer(pipeline, port=port)
+                await server.start()
+                assert await query() == expected
+                assert client.reconnects >= restarts
+        finally:
+            await client.close()
+            await server.stop()
+            await pipeline.stop(final_snapshot=False)
+
+    run(main())
+
+
 def test_bounds_stay_valid_under_restarts_with_small_sketch():
     """Same restart schedule against a genuinely lossy sketch (k far
     below the universe): the paper's error bounds must still hold
@@ -276,8 +317,6 @@ def test_deadline_raises_service_unavailable():
     """With a wall-clock deadline set, a dead cluster fails the request
     with ServiceUnavailableError well before the attempt budget — the
     knob latency-sensitive callers use instead of counting retries."""
-    from repro.errors import ServiceUnavailableError
-
     async def main():
         loop = asyncio.get_running_loop()
         client = fast_client(1, max_retries=10_000, deadline=0.2)
@@ -322,7 +361,6 @@ def test_follower_retry_deadline_exhausts_cleanly():
     """A follower with a retry deadline against a vanished cluster stops
     with ServiceUnavailableError as its last error — still alive for
     reads — instead of redialing forever."""
-    from repro.errors import ServiceUnavailableError
     from repro.service.replication import FollowerService, ReplicationConfig
 
     async def main():
@@ -335,8 +373,10 @@ def test_follower_retry_deadline_exhausts_cleanly():
         follower = FollowerService(
             pipeline, "127.0.0.1", 1,
             config=ReplicationConfig(
-                retry_initial=0.01, retry_max=0.05, max_retries=10_000,
-                retry_deadline=0.2,
+                retry=RetryPolicy(
+                    max_retries=10_000, backoff_initial=0.01,
+                    backoff_max=0.05, deadline=0.2,
+                ),
             ),
         )
         try:
@@ -351,5 +391,131 @@ def test_follower_retry_deadline_exhausts_cleanly():
         finally:
             await follower.stop()
             await pipeline.stop(final_snapshot=False)
+
+    run(main())
+
+
+async def _wedged_server():
+    """A server that accepts connections and never answers; returns it
+    with the list of its accepted connections (close them when done)."""
+    accepted = []
+
+    async def swallow(reader, writer):
+        accepted.append(writer)
+        await reader.read()
+
+    return await asyncio.start_server(swallow, "127.0.0.1", 0), accepted
+
+
+@pytest.mark.parametrize("wedged", ["peer", "leader"])
+def test_deadline_bounds_a_wedged_replica(wedged):
+    """A replica that accepts but never answers cannot hold a request
+    past its deadline — neither as the leader probe nor as the target."""
+
+    async def main():
+        silent, accepted = await _wedged_server()
+        silent_addr = "127.0.0.1:%d" % silent.sockets[0].getsockname()[1]
+        if wedged == "peer":  # the leader is dead; its one peer is wedged
+            client = fast_client(
+                1, peers=[silent_addr], max_retries=10_000, deadline=0.5
+            )
+        else:
+            port = silent.sockets[0].getsockname()[1]
+            client = fast_client(port, max_retries=10_000, deadline=0.5)
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        try:
+            with pytest.raises(ServiceUnavailableError, match="deadline"):
+                await client.send_batch(
+                    np.array([1], dtype=np.uint64), np.ones(1)
+                )
+            assert loop.time() - started < 2.0
+        finally:
+            await client.close()
+            for writer in accepted:
+                writer.close()
+                await writer.wait_closed()
+            silent.close()
+            await silent.wait_closed()
+
+    run(main())
+
+
+def test_read_replica_refusals_back_off_and_respect_the_deadline():
+    """Two read replicas that each refuse writes and name no leader: the
+    client ping-pongs between them, but every refusal spends the same
+    budget, so the deadline (and the attempt cap) end the loop."""
+
+    async def main():
+        replicas, servers = [], []
+        for seed in (1, 2):
+            pipeline = IngestPipeline(
+                FrequentItemsSketch(256, backend="probing", seed=seed),
+                config=PipelineConfig(max_batch_items=512, flush_interval=0.002),
+                replica=True,
+            )
+            await pipeline.start()
+            server = StreamServer(pipeline)
+            await server.start()
+            replicas.append(pipeline)
+            servers.append(server)
+        a, b = (f"127.0.0.1:{server.port}" for server in servers)
+        batch = (np.array([1], dtype=np.uint64), np.ones(1))
+        loop = asyncio.get_running_loop()
+        try:
+            client = fast_client(
+                servers[0].port, peers=[b], max_retries=10_000, deadline=0.3
+            )
+            started = loop.time()
+            with pytest.raises(ServiceUnavailableError, match="deadline"):
+                await client.send_batch(*batch)
+            assert loop.time() - started < 2.0
+            assert set(client.known_peers) == {a, b}
+            await client.close()
+
+            client = fast_client(servers[0].port, peers=[b], max_retries=3)
+            with pytest.raises(ServiceClosedError, match="gave up after"):
+                await client.send_batch(*batch)
+            await client.close()
+            for pipeline in replicas:
+                assert pipeline.sketch.stream_weight == 0.0
+        finally:
+            for server, pipeline in zip(servers, replicas):
+                await server.stop()
+                await pipeline.stop(final_snapshot=False)
+
+    run(main())
+
+
+def test_without_a_policy_the_client_is_one_plain_connection():
+    """``retry=None`` sends plain ``BIN`` frames, byte for byte, and a
+    lost connection surfaces instead of being retried."""
+    items = np.array([3, 1, 4, 1, 5], dtype=np.uint64)
+    weights = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+
+    async def main():
+        received = bytearray()
+
+        async def record(reader, writer):
+            line = await reader.readline()
+            received.extend(line)
+            received.extend(await reader.readexactly(len(items) * 16))
+            writer.write(b"OK %d\n" % len(items))
+            await writer.drain()
+            writer.close()  # then hang up
+
+        server = await asyncio.start_server(record, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        client = await ServiceClient.connect("127.0.0.1", port)
+        try:
+            assert await client.send_batch(items, weights) == len(items)
+            assert bytes(received) == protocol.encode_bin_frame(items, weights)
+            with pytest.raises((ServiceClosedError, ConnectionError)):
+                await client.ping()
+            assert client.reconnects == 0
+        finally:
+            await client.close()
+            server.close()
+            await server.wait_closed()
 
     run(main())

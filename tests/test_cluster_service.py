@@ -284,6 +284,26 @@ def test_cluster_server_protocol():
     asyncio.run(scenario())
 
 
+def test_thh_phi_travels_at_full_precision():
+    """Regression: '%g' rounded THH's phi to 6 significant digits and
+    dropped a true heavy hitter at the threshold's edge."""
+    phi = 0.1234566  # '%g' sends 0.123457: threshold 1234570 > 1234568
+
+    async def scenario():
+        async with WorkerPool(ClusterConfig(num_workers=1)) as pool:
+            async with ClusterServer(pool) as server:
+                client = await ClusterClient.connect("127.0.0.1", server.port)
+                await client.tcreate("edge", k=64)
+                await client.tsend_batch(
+                    "edge", [1, 2], [1234568.0, 10**7 - 1234568.0]
+                )
+                _seq, rows = await client.thh("edge", phi)
+                await client.close()
+                return [item for item, _ in rows]
+
+    assert asyncio.run(scenario()) == [2, 1]
+
+
 def test_cluster_server_tbin_error_keeps_stream_in_sync():
     """A TBIN for an unknown tenant consumes its payload and answers ERR
     without closing — the next request on the connection still parses."""

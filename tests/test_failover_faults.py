@@ -299,6 +299,18 @@ def test_kill_leader_cross_section(tmp_path):
     ))
 
 
+def test_kill_leader_elects_without_asyncio_timeout(tmp_path, monkeypatch):
+    """Python 3.10 has no ``asyncio.timeout``: the failure detector and
+    the vote RPCs must not depend on it, or no election ever starts."""
+    monkeypatch.delattr(asyncio, "timeout", raising=False)
+    run(kill_leader_scenario(
+        SKETCH_MAKERS["flat-probing"],
+        make_feed(num_batches=10, batch_size=120),
+        tmp_path,
+        rejoin=False,
+    ))
+
+
 # --------------------------------------------------------------------------
 # Promotion idempotence and announcement fencing
 

@@ -30,6 +30,7 @@ from repro.service.replication import (
     ReplicationConfig,
     ReplicationManager,
 )
+from repro.service.client import RetryPolicy
 
 from replication_harness import CLUSTER_CFG, FAST_REPL, ReplicaCluster
 from test_service_recovery import SKETCH_MAKERS, make_feed, rng_states
@@ -124,8 +125,11 @@ def test_ring_overflow_triggers_snapshot_catchup():
 
     async def main():
         repl = ReplicationConfig(
-            ring_frames=4, retry_initial=0.01, retry_max=0.05,
-            max_retries=200, heartbeat_interval=0.1,
+            ring_frames=4,
+            retry=RetryPolicy(
+                max_retries=200, backoff_initial=0.01, backoff_max=0.05
+            ),
+            heartbeat_interval=0.1,
         )
         leader = make_leader(SKETCH_MAKERS["flat-probing"], repl=repl)
         follower_pipe = make_follower_pipe(SKETCH_MAKERS["flat-probing"])
@@ -315,7 +319,9 @@ def test_follower_retry_budget_exhausts_cleanly():
     async def main():
         follower_pipe = make_follower_pipe(SKETCH_MAKERS["flat-probing"])
         config = ReplicationConfig(
-            retry_initial=0.005, retry_max=0.01, max_retries=3
+            retry=RetryPolicy(
+                max_retries=3, backoff_initial=0.005, backoff_max=0.01
+            )
         )
         async with follower_pipe:
             # Port 1 is reserved and closed everywhere this runs.

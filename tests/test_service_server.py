@@ -127,6 +127,30 @@ def test_weights_travel_at_full_precision():
     assert run(main()) == (16777217.0, needs_53_bits)
 
 
+def test_heavy_hitter_phi_travels_at_full_precision():
+    """Regression: '%g' rounded phi to 6 significant digits, raising the
+    served threshold past a true heavy hitter (no false negatives)."""
+    phi = 0.1234566  # '%g' sends 0.123457: threshold 1234570 > 1234568
+
+    async def main():
+        pipeline = _pipeline()
+        server = await _serve(pipeline)
+        client = await ServiceClient.connect("127.0.0.1", server.port)
+        await client.send_batch([1, 2], [1234568.0, 10**7 - 1234568.0])
+        await pipeline.drain()
+        hitters = await client.heavy_hitters(phi)
+        _seq, stamped = await client.qhh(phi)
+        expected = [row.item for row in pipeline.sketch.heavy_hitters(phi)]
+        await client.close()
+        await server.stop()
+        await pipeline.stop()
+        return [item for item, _ in hitters], [item for item, _ in stamped], expected
+
+    hitters, stamped, expected = run(main())
+    assert expected == [2, 1]
+    assert hitters == stamped == expected
+
+
 def test_empty_batch_is_a_noop():
     async def main():
         pipeline = _pipeline()
