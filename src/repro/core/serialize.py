@@ -58,7 +58,7 @@ from repro.table import loadable_backend
 
 _MAGIC = b"RFI1"
 _HEADER = struct.Struct("<4sIBBdIQddI")
-_RECORD = struct.Struct("<Qd")
+_RECORD = np.dtype([("item", "<u8"), ("count", "<f8")])
 
 _SHARDED_MAGIC = b"RFS1"
 _SHARDED_VERSION = 1
@@ -118,12 +118,12 @@ def sketch_to_bytes(sketch: FrequentItemsSketch) -> bytes:
     if sketch.growth == "adaptive":
         backend_code |= _ADAPTIVE_GROWTH_FLAG
     kind, param, sample_size = _encode_policy(sketch.policy)
-    # serial_items (when the store offers it) yields a re-insertion
-    # order that reconstructs the physical layout exactly — required
-    # for from_bytes(to_bytes(s)) to be byte-faithful on the probing
-    # layouts; for every other state and store it equals items().
+    # serial_arrays (when the store offers it) is a re-insertion order
+    # that reconstructs the physical layout exactly — required for
+    # from_bytes(to_bytes(s)) to be byte-faithful on the probing layout;
+    # for every other state and store it equals as_arrays().
     store = sketch._store
-    counters = list(getattr(store, "serial_items", store.items)())
+    items, counts = getattr(store, "serial_arrays", store.as_arrays)()
     header = _HEADER.pack(
         _MAGIC,
         sketch.max_counters,
@@ -134,9 +134,12 @@ def sketch_to_bytes(sketch: FrequentItemsSketch) -> bytes:
         sketch.seed & ((1 << 64) - 1),
         sketch.maximum_error,
         sketch.stream_weight,
-        len(counters),
+        len(items),
     )
-    body = b"".join(_RECORD.pack(item, count) for item, count in counters)
+    records = np.empty(len(items), dtype=_RECORD)
+    records["item"] = items
+    records["count"] = counts
+    body = records.tobytes()
     return header + body
 
 
@@ -174,7 +177,7 @@ def sketch_from_bytes(blob: bytes) -> FrequentItemsSketch:
     if backend is None:
         raise SerializationError(f"unknown backend code {backend_code}")
     backend = loadable_backend(backend)
-    expected = _HEADER.size + count * _RECORD.size
+    expected = _HEADER.size + count * _RECORD.itemsize
     if len(blob) != expected:
         raise SerializationError(
             f"blob length {len(blob)} does not match header (expected {expected})"
@@ -182,8 +185,7 @@ def sketch_from_bytes(blob: bytes) -> FrequentItemsSketch:
     policy = _decode_policy(kind, param, sample_size)
     if count:
         records = np.frombuffer(
-            blob, dtype=np.dtype([("item", "<u8"), ("count", "<f8")]),
-            count=count, offset=_HEADER.size,
+            blob, dtype=_RECORD, count=count, offset=_HEADER.size
         )
         items = records["item"]
         counts = records["count"]

@@ -301,7 +301,7 @@ class SketchKernel:
             # CPython's dict probe is already a compiled hash lookup, so
             # the grouped orchestration below only adds overhead on this
             # backend; inline the scalar loop over raw dict ops instead.
-            self._ingest_batch_dict_fast(items, weights)
+            self._ingest_lists_dict(items.tolist(), weights.tolist())
             return
         kernels = self._native_kernels()
         if kernels is not None:
@@ -483,16 +483,17 @@ class SketchKernel:
 
     # -- dict-backend fast path ------------------------------------------------
 
-    def _ingest_batch_dict_fast(self, items: np.ndarray, weights: np.ndarray) -> None:
+    def _ingest_lists_dict(self, items: list, weights: list) -> None:
         """Inlined scalar ingest loop over raw dict operations.
 
-        Identical in every observable to calling :meth:`ingest` per
-        element — same dict insertion order (hence iteration order and
-        serialized bytes), same PRNG draws, and ``value - c*`` is
-        bit-equal to the scalar path's ``value + (-c*)`` — while skipping
-        the per-update method dispatch and the grouped path's per-window
-        array work, neither of which helps a backend whose point lookups
-        are already C-coded.
+        Serves both the dict backend's batch ingest and its Algorithm 5
+        merge replay.  Identical in every observable to calling
+        :meth:`ingest` per element — same dict insertion order (hence
+        iteration order and serialized bytes), same PRNG draws, and
+        ``value - c*`` is bit-equal to the scalar path's ``value + (-c*)``
+        — while skipping the per-update method dispatch and the grouped
+        path's per-window array work, neither of which helps a backend
+        whose point lookups are already C-coded.
         """
         store = self.store
         counts = store._counts  # type: ignore[attr-defined]
@@ -502,7 +503,7 @@ class SketchKernel:
         rng = self.rng
         hits = 0
         inserts = 0
-        for item, weight in zip(items.tolist(), weights.tolist()):
+        for item, weight in zip(items, weights):
             current = counts.get(item)
             if current is not None:
                 counts[item] = current + weight
@@ -544,72 +545,41 @@ class SketchKernel:
         """
         if other is self:
             raise IncompatibleSketchError("cannot merge a sketch into itself")
-        entries = list(other.store.items())
-        if len(entries) > 1:
-            # Deterministic random order, seeded from this kernel's PRNG
-            # (numpy's permutation is C-coded; a pure-Python shuffle would
-            # dominate the merge cost at large k).
-            order = np.random.Generator(
-                np.random.PCG64(self.rng.next_u64())
-            ).permutation(len(entries))
-            entries = [entries[index] for index in order]
         if isinstance(self.store, DictCounterStore):
-            self._merge_entries_dict_fast(entries)
-        elif entries and self._native_kernels() is not None:
-            # The batch ingest is defined to equal the per-entry loop;
-            # on native-servable probing tables the whole replay runs
-            # in C.
-            self.ingest_batch(
-                np.array([item for item, _count in entries], dtype=np.uint64),
-                np.array([count for _item, count in entries], dtype=np.float64),
+            # Dict keys are arbitrary Python ints (a scalar update never
+            # coerces them), so the dict replay stays in Python objects.
+            entries = list(other.store.items())
+            entries = [entries[index] for index in self._replay_order(len(entries))]
+            self._ingest_lists_dict(
+                [item for item, _count in entries],
+                [count for _item, count in entries],
             )
         else:
-            for item, count in entries:
-                self.ingest(item, count)
+            items, counts = other.store.as_arrays()
+            if len(items):
+                # The other store's keys are distinct, and the batch
+                # ingest is defined to equal the per-entry ingest loop:
+                # one call replays the permuted summary (in C when the
+                # kernels are compiled).
+                order = self._replay_order(len(items))
+                self.ingest_batch(items[order], counts[order])
         self.offset += other.offset
         self.stream_weight += other.stream_weight
         return self
 
-    def _merge_entries_dict_fast(self, entries: list[tuple[ItemId, float]]) -> None:
-        """Inlined Algorithm 5 ingest loop for the dict backend.
+    def _replay_order(self, count: int) -> np.ndarray:
+        """Algorithm 5's random replay order over ``count`` counters.
 
-        Semantically identical to calling :meth:`ingest` per entry (the
-        tests assert so); inlining removes the per-counter Python call
-        frames that would otherwise dominate merge cost at large k.
+        Seeded from this kernel's PRNG (one draw, taken only when there
+        is more than one counter to order); numpy's permutation is
+        C-coded, where a pure-Python shuffle would dominate the merge
+        cost at large k.
         """
-        store = self.store
-        counts = store._counts  # type: ignore[attr-defined]
-        k = self.k
-        stats = self.stats
-        hits = 0
-        inserts = 0
-        for item, count in entries:
-            current = counts.get(item)
-            if current is not None:
-                counts[item] = current + count
-                hits += 1
-                continue
-            if len(counts) < k:
-                counts[item] = count
-                inserts += 1
-                continue
-            c_star = self.policy.decrement_value(store, self.rng)
-            stats.decrements += 1
-            stats.counters_scanned += len(counts)
-            survivors = {
-                key: value - c_star
-                for key, value in counts.items()
-                if value > c_star
-            }
-            stats.counters_freed += len(counts) - len(survivors)
-            counts = store._counts = survivors  # type: ignore[attr-defined]
-            self.offset += c_star
-            if count > c_star:
-                counts[item] = count - c_star
-                inserts += 1
-        stats.updates += len(entries)
-        stats.hits += hits
-        stats.inserts += inserts
+        if count <= 1:
+            return np.arange(count)
+        return np.random.Generator(
+            np.random.PCG64(self.rng.next_u64())
+        ).permutation(count)
 
     # -- rescaling (time-fading consumers) ------------------------------------
 

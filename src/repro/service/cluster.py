@@ -70,13 +70,13 @@ from repro.sharded.sketch import _shard_seed
 from repro.streams.model import as_batch
 from repro.table import BACKEND_NAMES, loadable_backend
 
-#: Sleep between shared-memory ring polls when the peer has nothing for
-#: us; at any real throughput the ring is never empty and neither side
-#: ever reaches the sleep.
-_POLL_INTERVAL = 0.0005
+#: Sleep between checks for a released ring slot while a worker's ring
+#: is full.  Only a saturated worker makes the acceptor wait here.
+_RING_FULL_POLL = 0.0005
 
-#: How often an idle pipe-transport worker wakes to check that its
-#: acceptor is still alive (ring workers check at every poll).
+#: How often an idle worker wakes to check that its acceptor is still
+#: alive.  Frames and control messages wake it at once; this timer is
+#: the only wake-up an idle worker has.
 _ORPHAN_CHECK_INTERVAL = 1.0
 
 #: How long pool shutdown waits for a worker to exit before killing it.
@@ -257,7 +257,10 @@ class _WorkerRuntime:
     """Everything a worker process does, on its own asyncio loop.
 
     Frames arrive either on the worker's shared-memory ring or as
-    pickled pipe messages; control RPCs always arrive on the pipe.
+    pickled pipe messages; control RPCs always arrive on the pipe.  The
+    acceptor rings a *doorbell* — one byte on a per-worker pipe — after
+    publishing each ring frame, so a worker sleeps until a frame, a
+    message or the orphan check wakes it, and never polls the ring.
     Every frame is applied as exactly one pipeline micro-batch
     (``max_batch_items=1`` makes each submit a WAL record of its own),
     and the ring slot is released — or the pipe watermark sent — only
@@ -272,6 +275,7 @@ class _WorkerRuntime:
         worker_id: int,
         conn,
         ring_name: Optional[str],
+        bell,
         data_dir: Optional[str],
         snapshot_every: int,
     ) -> None:
@@ -284,6 +288,7 @@ class _WorkerRuntime:
         self._ring = (
             SharedFrameRing.attach(ring_name) if ring_name is not None else None
         )
+        self._bell = bell
         self._data_dir = data_dir
         self._snapshot_every = snapshot_every
         self._pipelines: dict[int, IngestPipeline] = {}
@@ -295,6 +300,9 @@ class _WorkerRuntime:
         loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         loop.add_reader(self._conn.fileno(), self._wake.set)
+        if self._bell is not None:
+            os.set_blocking(self._bell.fileno(), False)
+            loop.add_reader(self._bell.fileno(), self._on_bell)
         try:
             while self._running:
                 progressed = False
@@ -307,17 +315,18 @@ class _WorkerRuntime:
                     progressed = True
                 if progressed:
                     continue
+                # No wake-up is lost between the scan above and the wait
+                # below: a frame published after the scan rings the bell
+                # after publishing, and that byte stays unread until the
+                # wait lets _on_bell run.  A message pending on the pipe
+                # is caught by the poll after the clear.
                 self._wake.clear()
                 if self._conn.poll():
                     continue
-                # Ring writes carry no wakeup; poll at a cadence that is
-                # invisible under load (the ring is never empty then) and
-                # cheap when idle.
-                idle_wait = (
-                    _ORPHAN_CHECK_INTERVAL if self._ring is None else _POLL_INTERVAL
-                )
                 try:
-                    await asyncio.wait_for(self._wake.wait(), idle_wait)
+                    await asyncio.wait_for(
+                        self._wake.wait(), _ORPHAN_CHECK_INTERVAL
+                    )
                 except asyncio.TimeoutError:
                     if os.getppid() != self._acceptor_pid:
                         # Reparented: the acceptor died and no "stop" will
@@ -326,11 +335,33 @@ class _WorkerRuntime:
                         await self._handle_rpc("stop", {"final_snapshot": True})
         finally:
             loop.remove_reader(self._conn.fileno())
+            if self._bell is not None:
+                loop.remove_reader(self._bell.fileno())
+                self._bell.close()
             for pipeline in self._pipelines.values():
                 await pipeline.stop(final_snapshot=self._final_snapshot)
             self._pipelines.clear()
             if self._ring is not None:
                 self._ring.close()
+
+    def _on_bell(self) -> None:
+        """Read the doorbell dry, then wake the run loop.
+
+        The bell is read here, before the pass that scans the ring, and
+        not by that pass: a level-triggered fd left readable would make
+        every turn of the event loop return at once while the pass
+        awaits the frames it applies.
+        """
+        fd = self._bell.fileno()
+        try:
+            while os.read(fd, 4096):
+                pass
+            # EOF: every write end is closed, so the acceptor is gone.
+            # Stop watching; the orphan check stops the worker.
+            asyncio.get_running_loop().remove_reader(fd)
+        except BlockingIOError:
+            pass
+        self._wake.set()
 
     # -- ingest ----------------------------------------------------------------
 
@@ -479,6 +510,7 @@ def _worker_process_main(
     worker_id: int,
     conn,
     ring_name: Optional[str],
+    bell,
     data_dir: Optional[str],
     native_flag: bool,
     snapshot_every: int,
@@ -496,7 +528,9 @@ def _worker_process_main(
     # delivered here never lands on the acceptor's event loop.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.set_wakeup_fd(-1)
-    runtime = _WorkerRuntime(worker_id, conn, ring_name, data_dir, snapshot_every)
+    runtime = _WorkerRuntime(
+        worker_id, conn, ring_name, bell, data_dir, snapshot_every
+    )
     try:
         # The explicit flag (not the env var) decides the ingest path, so
         # acceptor and workers agree even across a spawn boundary.
@@ -524,6 +558,8 @@ class _WorkerHandle:
     process: multiprocessing.process.BaseProcess
     conn: Any
     ring: Optional[SharedFrameRing]
+    #: Write end of the worker's doorbell pipe (ring transport only).
+    bell: Any = None
     alive: bool = True
     next_req: int = 0
     pending: dict = field(default_factory=dict)
@@ -629,12 +665,16 @@ class WorkerPool:
                 else None
             )
             parent_conn, child_conn = context.Pipe(duplex=True)
+            bell_reader, bell = (
+                context.Pipe(duplex=False) if ring is not None else (None, None)
+            )
             process = context.Process(
                 target=_worker_process_main,
                 args=(
                     worker_id,
                     child_conn,
                     ring.name if ring is not None else None,
+                    bell_reader,
                     config.data_dir,
                     native_flag,
                     config.snapshot_every_batches,
@@ -644,7 +684,10 @@ class WorkerPool:
             )
             process.start()
             child_conn.close()
-            handle = _WorkerHandle(worker_id, process, parent_conn, ring)
+            if bell is not None:
+                bell_reader.close()
+                os.set_blocking(bell.fileno(), False)
+            handle = _WorkerHandle(worker_id, process, parent_conn, ring, bell)
             loop.add_reader(
                 parent_conn.fileno(), self._on_readable, handle
             )
@@ -675,6 +718,8 @@ class WorkerPool:
                 loop.remove_reader(handle.conn.fileno())
                 handle.alive = False
             handle.conn.close()
+            if handle.bell is not None:
+                handle.bell.close()
             if handle.ring is not None:
                 handle.ring.close()
         self._workers.clear()
@@ -728,6 +773,8 @@ class WorkerPool:
             return
         handle.alive = False
         asyncio.get_running_loop().remove_reader(handle.conn.fileno())
+        if handle.bell is not None:
+            handle.bell.close()
         failure = ClusterError(
             f"worker {handle.worker_id} died; restart the pool over the same "
             "data_dir to recover its tenants"
@@ -942,9 +989,10 @@ class WorkerPool:
                     # backpressure; a dead worker never releases one, so
                     # check liveness each turn instead of spinning forever.
                     self._check_alive(handle)
-                    await asyncio.sleep(_POLL_INTERVAL)
+                    await asyncio.sleep(_RING_FULL_POLL)
                 self._check_alive(handle)
                 handle.ring.write(tid, part_items, part_weights)
+                self._ring_bell(handle)
             else:
                 while (
                     handle.sent_frames - handle.acked_frames
@@ -969,19 +1017,27 @@ class WorkerPool:
                     ("f", handle.sent_frames, tid, part_items, part_weights),
                 )
 
+    def _ring_bell(self, handle: _WorkerHandle) -> None:
+        """Wake a worker for the frame just published on its ring."""
+        try:
+            os.write(handle.bell.fileno(), b"\x01")
+        except BlockingIOError:
+            pass  # the pipe is full of unread bells: the worker will wake
+        except OSError as exc:  # EPIPE: the worker is gone
+            self._mark_dead(handle)
+            raise ClusterError(
+                f"worker {handle.worker_id} doorbell closed mid-send"
+            ) from exc
+
     async def drain(self) -> dict[str, int]:
         """Await until every shipped frame is applied on its worker.
 
         Returns the per-substream applied sequence (frames applied since
         the substream was created) — the watermark vector the merged-view
-        cache is keyed by.
+        cache is keyed by.  The ``drain`` RPC applies every frame the
+        worker's ring holds before it answers, and an RPC is sent after
+        every frame already shipped to that worker.
         """
-        for handle in self._workers:
-            while handle.alive and handle.ring is not None and (
-                handle.ring.consumed_seq() < handle.ring.produced_seq()
-            ):
-                self._check_alive(handle)
-                await asyncio.sleep(_POLL_INTERVAL)
         return await self._applied_seqs("drain")
 
     async def _applied_seqs(self, op: str) -> dict[str, int]:

@@ -635,15 +635,15 @@ class LinearProbingTable(CounterStore):
         occupied = np.flatnonzero(self._states != 0)
         return self._keys[occupied], self._values[occupied]
 
-    def serial_items(self) -> Iterator[tuple[ItemId, float]]:
-        """Items in an order whose greedy re-insertion reproduces the
-        physical layout slot for slot.
+    def serial_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Live ``(keys, values)`` in an order whose greedy re-insertion
+        reproduces the physical layout slot for slot.
 
         Cyclic slot order starting at an empty slot has that property
         for linear-probing layouts (each key re-probes over residents
         already restored to their original slots and lands exactly where
-        it was).  Plain ascending order — what :meth:`items` yields — is
-        already such an order *unless* an occupancy run wraps past the
+        it was).  Plain ascending order — what :meth:`as_arrays` returns —
+        is already such an order *unless* an occupancy run wraps past the
         end of the arrays, so rotation is applied only in the wrapped
         case and serialized bytes for every other state are unchanged.
         Serialization uses this; without it, a blob written from a
@@ -660,9 +660,12 @@ class LinearProbingTable(CounterStore):
             if empties.size:  # always true: the load factor is < 1
                 split = int(np.searchsorted(occupied, int(empties[0])))
                 occupied = np.concatenate([occupied[split:], occupied[:split]])
-        return iter(
-            zip(self._keys[occupied].tolist(), self._values[occupied].tolist())
-        )
+        return self._keys[occupied], self._values[occupied]
+
+    def serial_items(self) -> Iterator[tuple[ItemId, float]]:
+        """:meth:`serial_arrays` as ``(key, value)`` pairs."""
+        keys, values = self.serial_arrays()
+        return iter(zip(keys.tolist(), values.tolist()))
 
     def values_list(self) -> list[float]:
         return self._values[self._states != 0].tolist()

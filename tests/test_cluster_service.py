@@ -8,6 +8,7 @@ from tier-1, run by the ``cluster-tests`` CI job under both
 
 import asyncio
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -225,6 +226,89 @@ def test_worker_death_raises_and_recovery_works(tmp_path):
             assert await pool.tenant_blobs("t") == reference
 
     asyncio.run(scenario())
+
+
+# -- worker wake-ups ---------------------------------------------------------
+
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs a /proc filesystem"
+)
+
+
+def cpu_seconds(pid):
+    """utime + stime of one process, from /proc/<pid>/stat."""
+    with open(f"/proc/{pid}/stat") as fh:
+        # Fields after the parenthesised command; utime/stime are 14/15.
+        fields = fh.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+@needs_proc
+@pytest.mark.parametrize("transport", ["shm", "pipe"])
+def test_idle_worker_spends_no_cpu(transport):
+    """An idle worker sleeps until a frame, a message or the 1 s orphan
+    check wakes it: no polling of the frame ring."""
+
+    async def scenario():
+        config = ClusterConfig(num_workers=1, frame_transport=transport)
+        async with WorkerPool(config) as pool:
+            await pool.create_tenant("t", k=64)
+            await pool.submit("t", np.arange(100, dtype=np.uint64))
+            await pool.drain()
+            pid = pool.stats()["workers"][0]["pid"]
+            await asyncio.sleep(0.1)
+            before = cpu_seconds(pid)
+            await asyncio.sleep(1.0)
+            return cpu_seconds(pid) - before
+
+    assert asyncio.run(scenario()) < 0.03
+
+
+def test_doorbell_wakes_an_idle_worker():
+    """A frame shipped to an idle worker is applied at once, with no RPC
+    to nudge the worker: a lost wake-up would wait out the 1 s orphan
+    timer.  The first frame follows 1.5 s of idleness; the rest follow
+    gaps short and long enough to land anywhere in the worker's loop."""
+    gaps = [0.0, 0.0005, 0.002, 0.01, 0.05]
+
+    async def scenario():
+        config = ClusterConfig(num_workers=1, frame_transport="shm")
+        async with WorkerPool(config) as pool:
+            await pool.create_tenant("t", k=64)
+            await pool.drain()
+            await asyncio.sleep(1.5)
+            for trial in range(20):
+                await pool.submit("t", np.array([trial], dtype=np.uint64))
+                shipped = pool.stats()["workers"][0]["produced_seq"]
+                loop = asyncio.get_running_loop()
+                start = loop.time()
+                while pool.stats()["workers"][0]["applied_seq"] < shipped:
+                    assert loop.time() - start < 0.2, f"frame {trial} not woken"
+                    await asyncio.sleep(0.001)
+                await asyncio.sleep(gaps[trial % len(gaps)])
+
+    asyncio.run(scenario())
+
+
+@needs_proc
+def test_pool_cycles_leak_no_file_descriptors():
+    """Pool stop (and the workers) close every pipe, bell and segment."""
+
+    async def cycle():
+        async with WorkerPool(ClusterConfig(num_workers=2)) as pool:
+            await pool.create_tenant("t", k=64)
+            await pool.submit("t", np.arange(100, dtype=np.uint64))
+            await pool.drain()
+
+    async def scenario():
+        await cycle()  # first use starts the shared-memory resource tracker
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            await cycle()
+        return before, len(os.listdir("/proc/self/fd"))
+
+    before, after = asyncio.run(scenario())
+    assert after == before
 
 
 # -- the TCP front end -------------------------------------------------------

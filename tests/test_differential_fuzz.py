@@ -245,7 +245,7 @@ def _run_scenario(seed: int) -> None:
             assert abs(estimate - frequency) <= sketch.maximum_error
 
     # Serialized round trips preserve all observable state on every
-    # variant; the fixed-length probing layout (serial_items re-inserts
+    # variant; the fixed-length probing layout (serial_arrays re-inserts
     # slot for slot) is additionally byte-stable.  An adaptive table can
     # restore at an earlier growth stage than the one it was written
     # from, so its layout, and with it the record order, may differ.
