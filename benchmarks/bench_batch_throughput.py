@@ -1,19 +1,17 @@
 """Batched ingestion engine: scalar vs batch updates/sec per backend.
 
-Per-backend pytest-benchmark timings for the two ingestion paths, plus a
-report benchmark that regenerates the full scalar-vs-batch table and
-writes it to ``benchmarks/out/batch.txt``.
+Per-backend pytest-benchmark timings for the two ingestion paths.
 
 Expected shape: the probing table's batch path beats its own scalar
 loop by a wide margin (the whole loop runs in the compiled kernel when
 it is built), while the CPython dict is so fast per probe that packaging
-matters least there.  No ratio is asserted here: the probing batch bar
-lives in ``bench_ingest_profile.py``.
+matters least there.  No ratio is asserted here: the batch bars, and the
+scalar/batch byte-identity check per backend, live in
+``bench_ingest_profile.py``.
 """
 
 import pytest
 
-from repro.bench.figures import batch_throughput_table
 from repro.bench.harness import (
     feed_batches,
     feed_stream,
@@ -55,14 +53,3 @@ def test_ingest_throughput(benchmark, config, backend, mode):
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.stats.updates == len(stream)
-
-
-def test_batch_report(benchmark, config, write_report):
-    benchmark.group = "batch full table"
-
-    def run():
-        return batch_throughput_table(config)
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_report("batch", table)
-    assert set(table.column("backend")) == set(BACKENDS)

@@ -1,21 +1,19 @@
 """Sharded ingestion engine: parallel shard ingest vs flat probing.
 
 Per-shard-count pytest-benchmark timings for the partition-and-ingest
-path, a report benchmark regenerating the full shards table
-(``benchmarks/out/shard.txt``), and the quality gate of the sharded
-subsystem: the sharded sketch's ``heavy_hitters`` must cover every true
-heavy hitter (recall 1.0) with every reported estimate inside the summed
-per-shard error bound, on the same stream a flat sketch is held to.
+path, and the quality gate of the sharded subsystem: the sharded
+sketch's ``heavy_hitters`` must cover every true heavy hitter (recall
+1.0) with every reported estimate inside the summed per-shard error
+bound, on the same stream a flat sketch is held to.
 
 No throughput bar is asserted.  Against the flat probing table's
 compiled batch path, 4 shards measure 0.55-0.63x at quick scale on a
-2-vCPU VM, so the table row is evidence for whether the in-process
+2-vCPU VM, so the timings are evidence for whether the in-process
 sharded sketch earns its keep, not a gate.
 """
 
 import pytest
 
-from repro.bench.figures import sharded_throughput_table
 from repro.bench.harness import (
     feed_batches,
     num_batched_updates,
@@ -32,8 +30,8 @@ PHI = 0.01
 
 
 def _k(config) -> int:
-    # Deployment sizing, as in the figures table: k within a small
-    # factor of the distinct-key count.
+    # Deployment sizing: k within a small factor of the distinct-key
+    # count.
     return 4 * config.k_values[-1]
 
 
@@ -55,16 +53,6 @@ def test_sharded_ingest_throughput(benchmark, config, num_shards):
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.stats.updates == num_batched_updates(batches)
     result.close()
-
-
-def test_sharded_report(benchmark, config, write_report):
-    benchmark.group = "sharded full table"
-
-    def run():
-        return sharded_throughput_table(config)
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_report("shard", table)
 
 
 def test_sharded_heavy_hitters_match_flat_guarantees(config):

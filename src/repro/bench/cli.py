@@ -2,13 +2,7 @@
 
 Prints the requested experiment's tables to stdout and optionally
 appends them to a report file.  ``all`` runs everything in paper order.
-
-``python -m repro.bench report`` is the fuzzbench-style harness: it
-executes the declared experiment matrix (:mod:`repro.bench.matrix`),
-persists one provenance-stamped JSON document per run under
-``bench_runs/``, and renders the HTML + markdown report
-(:mod:`repro.bench.render`) over the whole run history plus the seed
-``BENCH_*.json`` trajectories.
+Served speed is measured by ``perfbench/run.py``, not here.
 """
 
 from __future__ import annotations
@@ -58,30 +52,6 @@ def _adversarial(config) -> Iterable[ResultTable]:
     return [figures.adversarial_table(config)]
 
 
-def _batch(config) -> Iterable[ResultTable]:
-    return [figures.batch_throughput_table(config)]
-
-
-def _shard(config) -> Iterable[ResultTable]:
-    return [figures.sharded_throughput_table(config)]
-
-
-def _decay(config) -> Iterable[ResultTable]:
-    return [figures.decay_throughput_table(config)]
-
-
-def _serve(config) -> Iterable[ResultTable]:
-    # The streaming-service throughput trajectory: also writes
-    # BENCH_serve.json (the CI artifact next to BENCH_ingest.json).
-    return [figures.serve_throughput_table(config, json_path="BENCH_serve.json")]
-
-
-def _ingest_profile(config) -> Iterable[ResultTable]:
-    # The canonical perf trajectory: also writes BENCH_ingest.json in the
-    # working directory (the repo root in CI) for cross-PR comparison.
-    return [figures.ingest_profile_table(config, json_path="BENCH_ingest.json")]
-
-
 def _ablations(config) -> Iterable[ResultTable]:
     return [
         figures.ablation_policies(config),
@@ -101,11 +71,6 @@ EXPERIMENTS: dict[str, Callable] = {
     "context": _context,
     "bounds": _bounds,
     "adversarial": _adversarial,
-    "batch": _batch,
-    "serve": _serve,
-    "shard": _shard,
-    "decay": _decay,
-    "ingest-profile": _ingest_profile,
     "ablations": _ablations,
 }
 
@@ -127,46 +92,6 @@ def run_header(experiment: str, scale: str) -> str:
     )
 
 
-def _run_report(args, config, scale: str) -> int:
-    """``bench report``: matrix run -> run document -> rendered report."""
-    from repro.bench.matrix import matrix_for_scale, run_matrix
-    from repro.bench.render import render_report
-    from repro.bench.results import ExperimentResults
-
-    spec = matrix_for_scale(scale)
-    document, path = run_matrix(
-        config,
-        spec,
-        scale=scale,
-        runs_dir=args.runs_dir,
-        progress=lambda line: print(line, file=sys.stderr),
-    )
-    table = ResultTable(
-        f"Experiment matrix: {document['run_id']}"
-        f" (git {document['git_hash'][:12]}, {document['timestamp_utc']})",
-        [
-            "policy", "backend", "alpha", "k", "growth",
-            "updates_per_sec", "max_error", "space_bytes",
-        ],
-    )
-    for cell in document["cells"]:
-        table.add_row(
-            **{column: cell[column] for column in table.columns}
-        )
-    print(table.to_text())
-    print()
-    results = ExperimentResults(runs_dir=args.runs_dir)
-    paths = render_report(results, args.report_dir)
-    print(f"run document: {path}")
-    print(f"html report:  {paths['html']}")
-    print(f"markdown:     {paths['markdown']}")
-    if args.out:
-        with open(args.out, "a") as fh:
-            fh.write(run_header("report", scale) + "\n\n")
-            fh.write(table.to_text() + "\n")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -174,9 +99,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all", "report"],
-        help="which figure/table to regenerate, or 'report' for the "
-        "experiment-matrix report harness",
+        choices=sorted(EXPERIMENTS) + ["all"],
+        help="which figure/table to regenerate",
     )
     parser.add_argument(
         "--scale",
@@ -194,27 +118,11 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="also append the tables to this file",
     )
-    parser.add_argument(
-        "--runs-dir",
-        default="bench_runs",
-        help="where 'report' persists and loads run documents",
-    )
-    parser.add_argument(
-        "--report-dir",
-        default=None,
-        help="where 'report' renders report.html/report.md "
-        "(default: <runs-dir>/report)",
-    )
     args = parser.parse_args(argv)
     if args.quick and args.scale not in (None, "quick"):
         parser.error("--quick conflicts with --scale " + args.scale)
     scale = args.scale or "quick"
     config = SCALES[scale]
-    if args.report_dir is None:
-        args.report_dir = f"{args.runs_dir}/report"
-
-    if args.experiment == "report":
-        return _run_report(args, config, scale)
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     chunks = []

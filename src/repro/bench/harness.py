@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -145,18 +144,6 @@ def packet_exact(config: BenchConfig) -> ExactCounter:
     return _EXACT_CACHE[key]
 
 
-def zipf_exact(
-    num_updates: int, universe: int, alpha: float, seed: int
-) -> ExactCounter:
-    """Ground truth for :func:`zipf_weighted_stream` (computed once)."""
-    key = ("zipf", num_updates, universe, alpha, seed)
-    if key not in _EXACT_CACHE:
-        exact = ExactCounter()
-        exact.update_all(zipf_weighted_stream(num_updates, universe, alpha, seed))
-        _EXACT_CACHE[key] = exact
-    return _EXACT_CACHE[key]
-
-
 @contextlib.contextmanager
 def gc_isolated() -> Iterator[None]:
     """Disable the cyclic garbage collector around a timed region.
@@ -201,16 +188,6 @@ def feed_batches(algorithm, batches: Iterable[Batch]) -> None:
         update_batch(items, weights)
 
 
-def time_feed_batches(algorithm, batches: Sequence[Batch]) -> float:
-    """Wall-clock seconds to feed ``batches`` into ``algorithm``."""
-    update_batch = algorithm.update_batch
-    with gc_isolated():
-        start = time.perf_counter()
-        for items, weights in batches:
-            update_batch(items, weights)
-        return time.perf_counter() - start
-
-
 def num_batched_updates(batches: Sequence[Batch]) -> int:
     """Total updates carried by a batch list."""
     return sum(len(items) for items, _weights in batches)
@@ -222,21 +199,3 @@ def time_call(function: Callable[[], object]) -> tuple[float, object]:
         start = time.perf_counter()
         result = function()
         return time.perf_counter() - start, result
-
-
-def repeat_median(
-    timed_run: Callable[[], float], repeats: int = 3
-) -> tuple[float, list[float]]:
-    """Median-of-``repeats`` sampling for a timed run.
-
-    ``timed_run`` must perform one complete, independent measurement
-    (fresh sketch, same workload) and return its seconds.  Gates built
-    on the median of three runs compare typical throughput instead of
-    whichever single shot the scheduler happened to interrupt.  Returns
-    ``(median_seconds, all_seconds)`` so run documents can persist the
-    full sample alongside the statistic.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    samples = [timed_run() for _ in range(repeats)]
-    return statistics.median(samples), samples

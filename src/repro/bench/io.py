@@ -1,56 +1,15 @@
-"""Durable bench-document I/O: atomic JSON writes.
+"""Provenance stamps for bench output: the git revision and a UTC instant.
 
-Every JSON document the bench plane persists — the seed
-``BENCH_ingest.json``/``BENCH_serve.json`` trajectories the gate suites
-parse and the per-run matrix documents under ``bench_runs/`` — goes
-through :func:`atomic_write_json`.  The write lands in a sibling
-temporary file first and is moved over the target with ``os.replace``
-(the same tmp + rename pattern the tenant registry uses for
-``tenants.json``), so a crash mid-serialization can truncate only the
-temporary file: the previous document stays byte-identical and the
-parsers never see a torn write.
+``python -m repro.bench --out FILE`` heads every appended block with
+both, so successive appends stay attributable to the commit and time
+that produced them.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import subprocess
 from datetime import datetime, timezone
 from typing import Any
-
-
-def atomic_write_json(path: str | os.PathLike, document: Any, *, indent: int = 2) -> None:
-    """Serialize ``document`` to ``path`` atomically.
-
-    The JSON is streamed into ``<path>.tmp`` in the same directory (so
-    the final ``os.replace`` is a same-filesystem rename, which POSIX
-    makes atomic) and moved into place only after a successful dump +
-    flush + fsync.  If serialization raises partway — e.g. an
-    unserializable value deep in the document — the temporary file is
-    removed and the previous contents of ``path`` are untouched.
-    """
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=indent)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    os.replace(tmp, path)
-
-
-def load_json(path: str | os.PathLike) -> Any:
-    """Read one JSON document (the counterpart of :func:`atomic_write_json`)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def _git(args: list[str], cwd: str | None = None) -> str | None:
@@ -74,8 +33,8 @@ def git_revision(cwd: str | None = None) -> dict[str, Any]:
     """``{"git_hash": ..., "git_dirty": ...}`` for ``cwd`` (or the CWD).
 
     Outside a git checkout — or with no ``git`` on PATH — the hash is
-    ``"unknown"`` and dirty is ``None``: run documents must still stamp
-    *something* so their provenance fields are always present.
+    ``"unknown"`` and dirty is ``None``: a run header must still stamp
+    *something* so its provenance fields are always present.
     """
     head = _git(["rev-parse", "HEAD"], cwd)
     if head is None:
@@ -88,5 +47,5 @@ def git_revision(cwd: str | None = None) -> dict[str, Any]:
 
 
 def utc_timestamp() -> str:
-    """The current time as an ISO-8601 UTC string (run-document stamps)."""
+    """The current time as an ISO-8601 UTC string (run-header stamps)."""
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")

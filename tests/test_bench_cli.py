@@ -32,8 +32,6 @@ def tiny_scale(monkeypatch):
         ("context", "Context"),
         ("adversarial", "adversarial stream"),
         ("bounds", "Theorem 4 check"),
-        ("batch", "Batch ingestion engine"),
-        ("decay", "Engine consumers"),
     ],
 )
 def test_each_experiment_runs(experiment, landmark, capsys):
@@ -58,23 +56,8 @@ def test_unknown_experiment_rejected():
 def test_experiments_registry_matches_readme_surface():
     assert set(cli.EXPERIMENTS) == {
         "fig1", "fig2", "fig3", "fig4", "claims", "space",
-        "context", "bounds", "adversarial", "batch", "shard", "decay",
-        "serve", "ingest-profile", "ablations",
+        "context", "bounds", "adversarial", "ablations",
     }
-
-
-def test_ingest_profile_writes_json(tmp_path, monkeypatch, capsys):
-    import json
-
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["ingest-profile", "--scale", "tiny"]) == 0
-    out = capsys.readouterr().out
-    assert "Ingest profile" in out
-    document = json.loads((tmp_path / "BENCH_ingest.json").read_text())
-    assert document["bench"] == "ingest-profile"
-    assert document["gates"]["probing_batch_speedup_alpha1.05"] > 0
-    backends = {row["backend"] for row in document["rows"]}
-    assert backends == {"dict", "probing"}
 
 
 def test_quick_flag_is_scale_alias(monkeypatch, tmp_path, capsys):
@@ -109,57 +92,3 @@ def test_run_header_format():
     header = cli.run_header("fig1", "quick")
     assert header.startswith("==== bench run: fig1 | scale=quick | git ")
     assert header.endswith("====")
-
-
-def test_report_command_end_to_end(tmp_path, monkeypatch, capsys):
-    """The tentpole: matrix run → stamped document → rendered report."""
-    import json
-
-    from repro.bench import matrix
-
-    monkeypatch.chdir(tmp_path)
-    tiny_spec = matrix.MatrixSpec(
-        backends=("probing",),
-        policies=("smed",),
-        alphas=(1.05,),
-        k_values=(16,),
-        growth_modes=("fixed",),
-        repeats=2,
-        batch_size=512,
-    )
-    monkeypatch.setattr(matrix, "matrix_for_scale", lambda scale: tiny_spec)
-    out = tmp_path / "out.txt"
-    assert cli.main([
-        "report", "--scale", "tiny",
-        "--runs-dir", str(tmp_path / "runs"),
-        "--report-dir", str(tmp_path / "rep"),
-        "--out", str(out),
-    ]) == 0
-    printed = capsys.readouterr().out
-    assert "Experiment matrix" in printed
-    assert "run document:" in printed
-
-    run_files = list((tmp_path / "runs").glob("run-*.json"))
-    assert len(run_files) == 1
-    document = json.loads(run_files[0].read_text())
-    assert document["scale"] == "tiny"
-    assert document["git_hash"] and document["timestamp_utc"].endswith("Z")
-    assert len(document["cells"]) == 1
-
-    html_doc = (tmp_path / "rep" / "report.html").read_text()
-    assert "Accuracy vs space frontier" in html_doc
-    assert "Throughput trajectory" in html_doc
-    assert "report" in out.read_text().splitlines()[0]  # stamped --out header
-
-
-def test_report_dir_defaults_under_runs_dir(tmp_path, monkeypatch):
-    from repro.bench import matrix
-
-    monkeypatch.chdir(tmp_path)
-    tiny_spec = matrix.MatrixSpec(
-        backends=("dict",), policies=("smed",), alphas=(1.05,),
-        k_values=(16,), growth_modes=("fixed",), repeats=1, batch_size=512,
-    )
-    monkeypatch.setattr(matrix, "matrix_for_scale", lambda scale: tiny_spec)
-    assert cli.main(["report", "--scale", "tiny", "--runs-dir", "runs"]) == 0
-    assert (tmp_path / "runs" / "report" / "report.md").exists()

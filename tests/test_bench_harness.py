@@ -14,11 +14,8 @@ from repro.bench.harness import (
     packet_batches,
     packet_exact,
     packet_stream,
-    repeat_median,
     time_call,
     time_feed,
-    time_feed_batches,
-    zipf_exact,
     zipf_weighted_batches,
     zipf_weighted_stream,
 )
@@ -100,13 +97,9 @@ def test_feed_batches_equals_feed_stream():
     scalar = FrequentItemsSketch(32, backend="probing", seed=1)
     feed_stream(scalar, stream)
     batched = FrequentItemsSketch(32, backend="probing", seed=1)
-    seconds = time_feed_batches(batched, batches)
-    assert seconds > 0
+    feed_batches(batched, batches)
     assert batched.stats.updates == len(stream)
     assert scalar.to_bytes() == batched.to_bytes()
-    again = FrequentItemsSketch(32, backend="probing", seed=1)
-    feed_batches(again, batches)
-    assert again.to_bytes() == batched.to_bytes()
 
 
 def test_time_call():
@@ -152,31 +145,3 @@ def test_timed_helpers_run_with_gc_disabled():
     time_call(lambda: states.append(gc.isenabled()))
     assert states == [False]
     assert gc.isenabled()
-
-
-def test_repeat_median_returns_median_and_samples():
-    samples = iter([3.0, 1.0, 2.0])
-    median, seen = repeat_median(lambda: next(samples), repeats=3)
-    assert median == 2.0
-    assert seen == [3.0, 1.0, 2.0]
-
-
-def test_repeat_median_single_repeat():
-    median, seen = repeat_median(lambda: 5.0, repeats=1)
-    assert median == 5.0
-    assert seen == [5.0]
-
-
-def test_repeat_median_rejects_nonpositive_repeats():
-    with pytest.raises(ValueError):
-        repeat_median(lambda: 1.0, repeats=0)
-
-
-def test_zipf_exact_cached_and_consistent():
-    exact = zipf_exact(600, 120, 1.05, seed=3)
-    assert exact is zipf_exact(600, 120, 1.05, seed=3)  # cache hit
-    stream = zipf_weighted_stream(600, 120, 1.05, seed=3)
-    assert exact.num_updates == len(stream)
-    assert exact.total_weight == pytest.approx(
-        sum(weight for _item, weight in stream)
-    )

@@ -1,59 +1,8 @@
-"""Atomic bench-document writes: a torn write must never reach ``path``."""
+"""Provenance stamps for bench run headers."""
 
-import json
 import os
 
-import pytest
-
-from repro.bench.io import atomic_write_json, git_revision, load_json, utc_timestamp
-
-
-def test_write_and_load_round_trip(tmp_path):
-    path = tmp_path / "doc.json"
-    atomic_write_json(path, {"bench": "x", "rows": [1, 2, 3]})
-    assert load_json(path) == {"bench": "x", "rows": [1, 2, 3]}
-
-
-def test_output_is_newline_terminated(tmp_path):
-    path = tmp_path / "doc.json"
-    atomic_write_json(path, {"a": 1})
-    assert path.read_text().endswith("\n")
-
-
-def test_overwrite_replaces_document(tmp_path):
-    path = tmp_path / "doc.json"
-    atomic_write_json(path, {"version": 1})
-    atomic_write_json(path, {"version": 2})
-    assert load_json(path) == {"version": 2}
-    assert not (tmp_path / "doc.json.tmp").exists()
-
-
-def test_crash_mid_serialization_keeps_previous_file_byte_identical(tmp_path):
-    """The acceptance scenario: a crash partway through ``json.dump``.
-
-    ``object()`` is unserializable, so the dump raises *after* the
-    serializer has already streamed the leading keys into the temporary
-    file.  The previous document must survive byte-for-byte and no
-    ``.tmp`` debris may remain for the next writer to trip over.
-    """
-    path = tmp_path / "BENCH_ingest.json"
-    atomic_write_json(path, {"bench": "ingest-profile", "gates": {"g": 1.0}})
-    before = path.read_bytes()
-
-    with pytest.raises(TypeError):
-        atomic_write_json(path, {"bench": "ingest-profile", "bad": object()})
-
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["BENCH_ingest.json"]
-    # And the survivor still parses.
-    assert json.loads(path.read_text())["gates"] == {"g": 1.0}
-
-
-def test_crash_with_no_previous_file_leaves_nothing(tmp_path):
-    path = tmp_path / "fresh.json"
-    with pytest.raises(TypeError):
-        atomic_write_json(path, {"bad": object()})
-    assert os.listdir(tmp_path) == []
+from repro.bench.io import git_revision, utc_timestamp
 
 
 def test_git_revision_inside_checkout():

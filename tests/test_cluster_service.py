@@ -459,9 +459,13 @@ def test_workers_flag_serves_cluster():
             await client.close()
 
         asyncio.run(poke())
+        process.terminate()  # SIGTERM takes the clean shutdown
+        assert process.wait(timeout=30) == 0
     finally:
-        process.terminate()
-        process.wait(timeout=30)
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=30)
+        process.stdout.close()
 
 
 @pytest.mark.parametrize("transport", ["shm", "pipe"])
