@@ -6,8 +6,9 @@ subsystem's acceptance gates.  Every ratio gate times both of its sides
 in this process.  The gates:
 
 * **throughput** — the pipeline must sustain at least 1M applied
-  updates/sec from 4 concurrent producers on the quick Zipf workload
-  (the ISSUE-5 acceptance figure; measured ~2.5M/s on one CI core).
+  updates/sec from 4 concurrent producers on the quick Zipf workload,
+  as the median of ``REPEATS`` timed runs (one shot sits too close to
+  the bar on a noisy host to decide a verdict).
 * **fidelity** — the served sketch must be bit-identical to a direct
   ``update_batch`` feed of the same stream: the service repackages the
   stream, it must not change it.
@@ -35,6 +36,7 @@ The kill-leader failover MTTR gate lives with the failover chaos matrix
 
 import asyncio
 import os
+import statistics
 import time
 
 import numpy as np
@@ -46,6 +48,7 @@ from repro.service.pipeline import IngestPipeline, PipelineConfig
 from repro.service.snapshot import SnapshotManager
 
 GATE_UPDATES_PER_SEC = 1_000_000
+REPEATS = 5  # timed runs behind the throughput gate's median
 
 SUBMIT_SIZE = 8_192  # updates per producer submission
 PIPE_CONFIG = PipelineConfig(
@@ -100,17 +103,18 @@ def test_pipeline_throughput(benchmark, config, num_producers):
     def run():
         sketch = FrequentItemsSketch(k, backend="probing", seed=config.seed)
         asyncio.run(_run(sketch, slices, num_producers))
+        assert sketch.stream_weight > 0
         return sketch
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert result.stream_weight > 0
-    seconds = benchmark.stats.stats.mean
-    updates_per_sec = total / seconds
+    benchmark.pedantic(run, rounds=REPEATS, iterations=1)
+    rates = [total / seconds for seconds in benchmark.stats.stats.data]
+    updates_per_sec = statistics.median(rates)
     benchmark.extra_info["updates_per_sec"] = updates_per_sec
+    benchmark.extra_info["updates_per_sec_samples"] = rates
     if num_producers == 4:
-        # The ISSUE-5 acceptance gate.
         assert updates_per_sec >= GATE_UPDATES_PER_SEC, (
             f"4-producer service throughput {updates_per_sec:,.0f}/s "
+            f"(median of {REPEATS}: {[round(r) for r in rates]}) "
             f"below the {GATE_UPDATES_PER_SEC:,}/s gate"
         )
 

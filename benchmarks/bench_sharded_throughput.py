@@ -1,4 +1,4 @@
-"""Sharded ingestion engine: parallel shard ingest vs flat probing.
+"""Sharded ingestion engine: serial shard ingest vs flat probing.
 
 Per-shard-count pytest-benchmark timings for the partition-and-ingest
 path, and the quality gate of the sharded subsystem: the sharded
@@ -52,7 +52,6 @@ def test_sharded_ingest_throughput(benchmark, config, num_shards):
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.stats.updates == num_batched_updates(batches)
-    result.close()
 
 
 def test_sharded_heavy_hitters_match_flat_guarantees(config):
@@ -89,4 +88,3 @@ def test_sharded_heavy_hitters_match_flat_guarantees(config):
         truth = exact.frequency(row.item)
         assert row.lower_bound <= truth <= row.upper_bound
         assert abs(row.estimate - truth) <= bound + 1e-9
-    sharded.close()

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Sharded parallel ingestion with merge-on-query.
+"""Sharded ingestion with merge-on-query.
 
 One :class:`~repro.sharded.sketch.ShardedFrequentItemsSketch` ingesting
 Zipf array batches: items are hash-partitioned across shard sketches,
 each shard's sub-batch runs through the vectorized ``update_batch`` path
-on a thread pool, and queries are answered from a merged view assembled
-on demand and cached until the next write.  The script compares the
+in turn, and queries are answered from a merged view assembled on
+demand and cached until the next write.  The script compares the
 sharded sketch against a flat probing sketch on the same stream —
 throughput, decrement-pass counts (the hardware-independent speed
 driver), and heavy-hitter accuracy against exact ground truth.
@@ -41,7 +41,7 @@ def main() -> None:
     flat_seconds = time.perf_counter() - start
 
     # Sharded: same batches, partitioned across num_shards tables and
-    # ingested in parallel.
+    # ingested shard by shard.
     sharded = ShardedFrequentItemsSketch(k, num_shards=num_shards, seed=7)
     start = time.perf_counter()
     for items, weights in batches:
@@ -59,7 +59,7 @@ def main() -> None:
     print(f"{'ingest path':<28} {'sec':>8} {'updates/sec':>14} {'decrements':>11}")
     print(f"{'flat probing':<28} {flat_seconds:8.3f} "
           f"{total_updates / flat_seconds:14,.0f} {flat.stats.decrements:11d}")
-    print(f"{f'{num_shards} shards (parallel)':<28} {sharded_seconds:8.3f} "
+    print(f"{f'{num_shards} shards':<28} {sharded_seconds:8.3f} "
           f"{total_updates / sharded_seconds:14,.0f} "
           f"{sharded.stats.decrements:11d}")
     print(f"sharded speedup: {flat_seconds / sharded_seconds:.2f}x")
@@ -88,7 +88,6 @@ def main() -> None:
     for row in top[:5]:
         print(f"  item {row.item:>20}: est {row.estimate:12,.0f}   "
               f"exact {exact.frequency(row.item):12,.0f}")
-    sharded.close()
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ Package map
 - :mod:`repro.extensions` — sampling-based weighted frequent items,
   random-admission SS, hierarchical heavy hitters, streaming entropy,
   turnstile support.
-- :mod:`repro.sharded` — sharded parallel ingestion with merge-on-query
+- :mod:`repro.sharded` — sharded ingestion with merge-on-query
   (:class:`~repro.sharded.sketch.ShardedFrequentItemsSketch`).
 - :mod:`repro.service` — the always-on asyncio ingest service:
   micro-batching pipeline with backpressure, snapshot/WAL durability

@@ -150,11 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the multi-process tenant cluster with N worker "
         "processes (incompatible with --follow)",
     )
-    parser.add_argument(
-        "--frame-transport", choices=("auto", "shm", "pipe"), default="auto",
-        help="how cluster ingest frames cross the acceptor-worker "
-        "boundary (auto = shared memory when available)",
-    )
     parser.add_argument("--snapshot-every", type=int, default=256,
                         help="checkpoint every N applied micro-batches")
     parser.add_argument("--max-batch", type=int, default=8192,
@@ -215,7 +210,6 @@ async def run_cluster(args: argparse.Namespace) -> int:
     config = ClusterConfig(
         num_workers=args.workers,
         data_dir=args.data_dir,
-        frame_transport=args.frame_transport,
         snapshot_every_batches=args.snapshot_every,
         default_k=args.k,
         default_backend=args.backend,
@@ -229,7 +223,6 @@ async def run_cluster(args: argparse.Namespace) -> int:
             print(
                 f"serving tenant cluster on {args.host}:{server.port} "
                 f"(workers={pool.num_workers}, "
-                f"transport={pool.frame_transport}, "
                 f"tenants={len(pool.list_tenants())}, "
                 f"durability={'on' if args.data_dir else 'off'})",
                 flush=True,

@@ -14,7 +14,7 @@ error guarantees), which licenses the classic scale-out shape:
   HashRing` maps each tenant substream to its owning worker (growing the
   pool moves ~1/N of tenants), and ingest batches cross the process
   boundary as zero-copy :class:`~repro.service.frames.SharedFrameRing`
-  frames (pipe-pickled frames when shared memory is unavailable);
+  frames, one ring per worker, with a doorbell pipe to wake it;
 * per-tenant queries route to the owning worker; **global views**
   (``QEST``/``QHH`` over everything, or a sharded tenant's merged view)
   decode worker snapshot blobs and fold them with the existing
@@ -81,6 +81,11 @@ _ORPHAN_CHECK_INTERVAL = 1.0
 
 #: How long pool shutdown waits for a worker to exit before killing it.
 _JOIN_TIMEOUT = 5.0
+
+#: Shape of the consistent-hash ring (see :class:`~repro.service.ring.
+#: HashRing`): virtual nodes per worker, and the hash seed.
+RING_VNODES = 64
+RING_SEED = 0
 
 #: The tenant behind the single-tenant verbs (``UPDATE``, ``EST``, ...).
 DEFAULT_TENANT = "default"
@@ -185,19 +190,11 @@ class ClusterConfig:
         Root of durability: the tenant registry plus one WAL/snapshot
         directory per tenant substream live under it.  ``None`` disables
         durability entirely (benchmarks).
-    frame_transport:
-        ``"auto"`` (shared memory when available, else pipes),
-        ``"shm"``, or ``"pipe"``.  Both transports ship the exact same
-        frames; results are bit-identical.
     ring_slots / slot_capacity:
         Geometry of each worker's frame ring: ``ring_slots`` in-flight
         frames of up to ``slot_capacity`` updates.  The capacity is also
         the acceptor's fixed chunk size — frame boundaries must not
-        depend on worker count.  The same bound caps pipe-mode frames
-        in flight.
-    vnodes / ring_seed:
-        Consistent-hash ring shape (see :class:`~repro.service.ring.
-        HashRing`).
+        depend on worker count.
     snapshot_every_batches:
         Per-tenant checkpoint cadence, in applied frames.
     native:
@@ -214,11 +211,8 @@ class ClusterConfig:
 
     num_workers: int = 1
     data_dir: Optional[str] = None
-    frame_transport: str = "auto"
     ring_slots: int = 64
     slot_capacity: int = 16_384
-    vnodes: int = 64
-    ring_seed: int = 0
     snapshot_every_batches: int = 256
     native: Optional[bool] = None
     default_k: int = 4096
@@ -230,11 +224,6 @@ class ClusterConfig:
         if self.num_workers < 1:
             raise InvalidParameterError(
                 f"num_workers must be positive, got {self.num_workers}"
-            )
-        if self.frame_transport not in ("auto", "shm", "pipe"):
-            raise InvalidParameterError(
-                f"frame_transport must be auto, shm, or pipe; "
-                f"got {self.frame_transport!r}"
             )
         if self.ring_slots < 1 or self.slot_capacity < 1:
             raise InvalidParameterError(
@@ -256,25 +245,24 @@ class ClusterConfig:
 class _WorkerRuntime:
     """Everything a worker process does, on its own asyncio loop.
 
-    Frames arrive either on the worker's shared-memory ring or as
-    pickled pipe messages; control RPCs always arrive on the pipe.  The
-    acceptor rings a *doorbell* — one byte on a per-worker pipe — after
-    publishing each ring frame, so a worker sleeps until a frame, a
-    message or the orphan check wakes it, and never polls the ring.
-    Every frame is applied as exactly one pipeline micro-batch
-    (``max_batch_items=1`` makes each submit a WAL record of its own),
-    and the ring slot is released — or the pipe watermark sent — only
-    after the apply, so the acceptor's watermark is an *applied*
-    watermark.  Query handlers consume all published frames first:
-    anything the acceptor shipped before asking is visible in the
-    answer (read-your-writes).
+    Frames arrive on the worker's shared-memory ring; control RPCs
+    arrive on the pipe.  The acceptor rings a *doorbell* — one byte on a
+    per-worker pipe — after publishing each ring frame, so a worker
+    sleeps until a frame, a message or the orphan check wakes it, and
+    never polls the ring.  Every frame is applied as exactly one
+    pipeline micro-batch (``max_batch_items=1`` makes each submit a WAL
+    record of its own), and the ring slot is released only after the
+    apply, so the acceptor's watermark is an *applied* watermark.
+    Query handlers consume all published frames first: anything the
+    acceptor shipped before asking is visible in the answer
+    (read-your-writes).
     """
 
     def __init__(
         self,
         worker_id: int,
         conn,
-        ring_name: Optional[str],
+        ring_name: str,
         bell,
         data_dir: Optional[str],
         snapshot_every: int,
@@ -285,9 +273,7 @@ class _WorkerRuntime:
         parent = multiprocessing.parent_process()
         self._acceptor_pid = os.getppid() if parent is None else parent.pid
         self._conn = conn
-        self._ring = (
-            SharedFrameRing.attach(ring_name) if ring_name is not None else None
-        )
+        self._ring = SharedFrameRing.attach(ring_name)
         self._bell = bell
         self._data_dir = data_dir
         self._snapshot_every = snapshot_every
@@ -300,9 +286,8 @@ class _WorkerRuntime:
         loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         loop.add_reader(self._conn.fileno(), self._wake.set)
-        if self._bell is not None:
-            os.set_blocking(self._bell.fileno(), False)
-            loop.add_reader(self._bell.fileno(), self._on_bell)
+        os.set_blocking(self._bell.fileno(), False)
+        loop.add_reader(self._bell.fileno(), self._on_bell)
         try:
             while self._running:
                 progressed = False
@@ -335,14 +320,12 @@ class _WorkerRuntime:
                         await self._handle_rpc("stop", {"final_snapshot": True})
         finally:
             loop.remove_reader(self._conn.fileno())
-            if self._bell is not None:
-                loop.remove_reader(self._bell.fileno())
-                self._bell.close()
+            loop.remove_reader(self._bell.fileno())
+            self._bell.close()
             for pipeline in self._pipelines.values():
                 await pipeline.stop(final_snapshot=self._final_snapshot)
             self._pipelines.clear()
-            if self._ring is not None:
-                self._ring.close()
+            self._ring.close()
 
     def _on_bell(self) -> None:
         """Read the doorbell dry, then wake the run loop.
@@ -367,39 +350,29 @@ class _WorkerRuntime:
 
     async def _consume_frames(self) -> bool:
         """Apply every published ring frame; True when any was applied."""
-        if self._ring is None:
-            return False
         progressed = False
         while True:
             frame = self._ring.peek()
             if frame is None:
                 return progressed
             seq, tid, items, weights = frame
-            await self._apply_frame(tid, items, weights)
+            pipeline = self._pipelines.get(tid)
+            if pipeline is None:
+                raise ClusterError(
+                    f"worker {self._worker_id} got a frame for unknown "
+                    f"tenant id {tid}"
+                )
+            # One frame = one micro-batch = one WAL record; awaiting the
+            # apply before releasing the slot is what keeps the zero-copy
+            # views valid and the consumed watermark honest.
+            await pipeline.submit(items, weights, wait_applied=True)
             self._ring.commit(seq)
             progressed = True
-
-    async def _apply_frame(self, tid: int, items, weights) -> None:
-        pipeline = self._pipelines.get(tid)
-        if pipeline is None:
-            raise ClusterError(
-                f"worker {self._worker_id} got a frame for unknown "
-                f"tenant id {tid}"
-            )
-        # One frame = one micro-batch = one WAL record; awaiting the
-        # apply before releasing the slot is what keeps the zero-copy
-        # views valid and the consumed watermark honest.
-        await pipeline.submit(items, weights, wait_applied=True)
 
     # -- control plane ---------------------------------------------------------
 
     async def _handle_message(self, message) -> None:
         kind = message[0]
-        if kind == "f":  # pipe-transport frame
-            _kind, frame_seq, tid, items, weights = message
-            await self._apply_frame(tid, items, weights)
-            self._conn.send(("w", frame_seq))
-            return
         if kind != "c":
             raise ClusterError(
                 f"worker {self._worker_id} got unknown message {kind!r}"
@@ -509,7 +482,7 @@ class _WorkerRuntime:
 def _worker_process_main(
     worker_id: int,
     conn,
-    ring_name: Optional[str],
+    ring_name: str,
     bell,
     data_dir: Optional[str],
     native_flag: bool,
@@ -557,15 +530,12 @@ class _WorkerHandle:
     worker_id: int
     process: multiprocessing.process.BaseProcess
     conn: Any
-    ring: Optional[SharedFrameRing]
-    #: Write end of the worker's doorbell pipe (ring transport only).
-    bell: Any = None
+    ring: SharedFrameRing
+    #: Write end of the worker's doorbell pipe.
+    bell: Any
     alive: bool = True
     next_req: int = 0
     pending: dict = field(default_factory=dict)
-    sent_frames: int = 0
-    acked_frames: int = 0
-    space_event: asyncio.Event = field(default_factory=asyncio.Event)
     send_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
 
@@ -593,16 +563,13 @@ class WorkerPool:
     def __init__(self, config: Optional[ClusterConfig] = None) -> None:
         self._config = config if config is not None else ClusterConfig()
         self._ring = HashRing(
-            self._config.num_workers,
-            vnodes=self._config.vnodes,
-            seed=self._config.ring_seed,
+            self._config.num_workers, vnodes=RING_VNODES, seed=RING_SEED
         )
         self._workers: list[_WorkerHandle] = []
         self._specs: dict[str, TenantSpec] = {}
         self._tids: dict[str, int] = {}
         self._owners: dict[str, int] = {}
         self._next_tid = 0
-        self._transport = "unresolved"
         self._started = False
         self._view_cache: dict[str, tuple[tuple, FrequentItemsSketch]] = {}
 
@@ -615,11 +582,6 @@ class WorkerPool:
     @property
     def num_workers(self) -> int:
         return self._config.num_workers
-
-    @property
-    def frame_transport(self) -> str:
-        """The resolved transport (``shm`` or ``pipe``) after start."""
-        return self._transport
 
     @property
     def ring(self) -> HashRing:
@@ -636,20 +598,20 @@ class WorkerPool:
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> "WorkerPool":
-        """Fork the workers, then re-register any persisted tenants."""
+        """Fork the workers, then re-register any persisted tenants.
+
+        Raises :class:`~repro.errors.ClusterError` on a platform without
+        ``multiprocessing.shared_memory``: frames travel only on the
+        shared-memory rings.
+        """
         if self._started:
             return self
-        config = self._config
-        if config.frame_transport == "shm" and not shared_memory_available():
+        if not shared_memory_available():
             raise ClusterError(
-                "frame_transport='shm' requested but multiprocessing shared "
-                "memory is unavailable; use 'pipe' or 'auto'"
+                "the worker pool needs multiprocessing.shared_memory for its "
+                "frame rings, and this platform does not provide it"
             )
-        self._transport = (
-            "pipe"
-            if config.frame_transport == "pipe" or not shared_memory_available()
-            else "shm"
-        )
+        config = self._config
         native_flag = (
             config.native if config.native is not None else native.enabled()
         )
@@ -659,21 +621,15 @@ class WorkerPool:
         )
         loop = asyncio.get_running_loop()
         for worker_id in range(config.num_workers):
-            ring = (
-                SharedFrameRing.create(config.ring_slots, config.slot_capacity)
-                if self._transport == "shm"
-                else None
-            )
+            ring = SharedFrameRing.create(config.ring_slots, config.slot_capacity)
             parent_conn, child_conn = context.Pipe(duplex=True)
-            bell_reader, bell = (
-                context.Pipe(duplex=False) if ring is not None else (None, None)
-            )
+            bell_reader, bell = context.Pipe(duplex=False)
             process = context.Process(
                 target=_worker_process_main,
                 args=(
                     worker_id,
                     child_conn,
-                    ring.name if ring is not None else None,
+                    ring.name,
                     bell_reader,
                     config.data_dir,
                     native_flag,
@@ -684,9 +640,8 @@ class WorkerPool:
             )
             process.start()
             child_conn.close()
-            if bell is not None:
-                bell_reader.close()
-                os.set_blocking(bell.fileno(), False)
+            bell_reader.close()
+            os.set_blocking(bell.fileno(), False)
             handle = _WorkerHandle(worker_id, process, parent_conn, ring, bell)
             loop.add_reader(
                 parent_conn.fileno(), self._on_readable, handle
@@ -718,10 +673,8 @@ class WorkerPool:
                 loop.remove_reader(handle.conn.fileno())
                 handle.alive = False
             handle.conn.close()
-            if handle.bell is not None:
-                handle.bell.close()
-            if handle.ring is not None:
-                handle.ring.close()
+            handle.bell.close()
+            handle.ring.close()
         self._workers.clear()
         self._started = False
         self._view_cache.clear()
@@ -749,10 +702,6 @@ class WorkerPool:
 
     def _on_message(self, handle: _WorkerHandle, message) -> None:
         kind = message[0]
-        if kind == "w":  # pipe-transport applied watermark
-            handle.acked_frames = message[1]
-            handle.space_event.set()
-            return
         if kind == "r":
             future = handle.pending.pop(message[1], None)
             if future is not None and not future.done():
@@ -773,8 +722,7 @@ class WorkerPool:
             return
         handle.alive = False
         asyncio.get_running_loop().remove_reader(handle.conn.fileno())
-        if handle.bell is not None:
-            handle.bell.close()
+        handle.bell.close()
         failure = ClusterError(
             f"worker {handle.worker_id} died; restart the pool over the same "
             "data_dir to recover its tenants"
@@ -783,7 +731,6 @@ class WorkerPool:
             if not future.done():
                 future.set_exception(failure)
         handle.pending.clear()
-        handle.space_event.set()  # wake frame writers so they can fail
 
     def _check_alive(self, handle: _WorkerHandle) -> None:
         if not self._started:
@@ -983,39 +930,15 @@ class WorkerPool:
         for lo in range(0, items.shape[0], capacity):
             part_items = items[lo : lo + capacity]
             part_weights = weights[lo : lo + capacity]
-            if handle.ring is not None:
-                while not handle.ring.has_space():
-                    # The wait for a released slot IS the cross-process
-                    # backpressure; a dead worker never releases one, so
-                    # check liveness each turn instead of spinning forever.
-                    self._check_alive(handle)
-                    await asyncio.sleep(_RING_FULL_POLL)
+            while not handle.ring.has_space():
+                # The wait for a released slot IS the cross-process
+                # backpressure; a dead worker never releases one, so
+                # check liveness each turn instead of spinning forever.
                 self._check_alive(handle)
-                handle.ring.write(tid, part_items, part_weights)
-                self._ring_bell(handle)
-            else:
-                while (
-                    handle.sent_frames - handle.acked_frames
-                    >= self._config.ring_slots
-                ):
-                    self._check_alive(handle)
-                    handle.space_event.clear()
-                    if (
-                        handle.sent_frames - handle.acked_frames
-                        < self._config.ring_slots
-                    ):
-                        break  # the ack landed between check and clear
-                    try:
-                        await asyncio.wait_for(
-                            handle.space_event.wait(), timeout=0.1
-                        )
-                    except asyncio.TimeoutError:
-                        pass
-                handle.sent_frames += 1
-                await self._send(
-                    handle,
-                    ("f", handle.sent_frames, tid, part_items, part_weights),
-                )
+                await asyncio.sleep(_RING_FULL_POLL)
+            self._check_alive(handle)
+            handle.ring.write(tid, part_items, part_weights)
+            self._ring_bell(handle)
 
     def _ring_bell(self, handle: _WorkerHandle) -> None:
         """Wake a worker for the frame just published on its ring."""
@@ -1180,25 +1103,20 @@ class WorkerPool:
 
     def stats(self) -> dict:
         """Cluster topology + per-worker watermarks, without any RPC."""
-        workers = []
-        for handle in self._workers:
-            entry: dict[str, Any] = {
+        workers = [
+            {
                 "worker": handle.worker_id,
                 "alive": handle.alive,
                 "pid": handle.process.pid,
+                "produced_seq": handle.ring.produced_seq(),
+                "applied_seq": handle.ring.consumed_seq(),
             }
-            if handle.ring is not None:
-                entry["produced_seq"] = handle.ring.produced_seq()
-                entry["applied_seq"] = handle.ring.consumed_seq()
-            else:
-                entry["produced_seq"] = handle.sent_frames
-                entry["applied_seq"] = handle.acked_frames
-            workers.append(entry)
+            for handle in self._workers
+        ]
         return {
             "num_workers": self._config.num_workers,
-            "frame_transport": self._transport,
             "routing": "ketama",
-            "vnodes": self._config.vnodes,
+            "vnodes": RING_VNODES,
             "slot_capacity": self._config.slot_capacity,
             "tenants": [spec.as_dict() for spec in self._specs.values()],
             "substream_owners": dict(sorted(self._owners.items())),

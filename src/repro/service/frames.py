@@ -25,11 +25,9 @@ acknowledgement message.  Both watermark words are 8-byte-aligned single
 stores, and each word has exactly one writing process.
 
 The byte layout (magic ``RSHM``) is documented field by field in
-``docs/serialization.md`` and pinned by an offset-validation test.  When
-``multiprocessing.shared_memory`` is unavailable (or the pool is built
-with ``frame_transport="pipe"``), the cluster degrades to shipping the
-same frames as pickled arrays over the worker's control pipe — slower,
-bit-identical in result.
+``docs/serialization.md`` and pinned by an offset-validation test.  The
+ring is the cluster's only frame transport: a platform without
+``multiprocessing.shared_memory`` cannot start a worker pool.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ SLOT_HEADER_SIZE = 64
 
 
 def shared_memory_available() -> bool:
-    """True when the zero-copy transport can be used on this platform."""
+    """True when frame rings (and so the worker pool) work on this platform."""
     return _shm is not None
 
 

@@ -567,45 +567,66 @@ class IngestPipeline:
             weights = np.concatenate([part[1] for part in parts])
         stamps = tuple(part[3] for part in parts if part[3] is not None)
         seq = self._applied_seq + 1
-        stats = self._stats
-        try:
-            if self._snapshots is not None:
-                stats.wal_bytes += self._snapshots.append_wal(seq, items, weights)
-                stats.wal_records += 1
-            self._sketch.update_batch(items, weights)
-        except BaseException as exc:
-            # These parts are no longer in the queue, so the fault
-            # handler cannot see them: settle their accounting here.
+
+        def settle() -> None:
             self._pending_items -= total
-            failure = ServiceClosedError(f"pipeline failed: {exc!r}")
+            stats = self._stats
+            if size_flush:
+                stats.size_flushes += 1
+            else:
+                stats.time_flushes += 1
             for part in parts:
                 future = part[2]
                 if future is not None and not future.done():
-                    future.set_exception(failure)
+                    future.set_result(seq)
+            assert self._space_event is not None and self._idle_event is not None
+            self._space_event.set()
+            if not self._queue:
+                self._idle_event.set()
+
+        try:
+            self._commit(seq, items, weights, stamps, settle)
+        except BaseException as exc:
+            if self._applied_seq != seq:
+                # Nothing was applied, and these parts are no longer in
+                # the queue, so the fault handler cannot see them:
+                # settle their accounting here.
+                self._pending_items -= total
+                failure = ServiceClosedError(f"pipeline failed: {exc!r}")
+                for part in parts:
+                    future = part[2]
+                    if future is not None and not future.done():
+                        future.set_exception(failure)
             raise
+
+    def _commit(self, seq: int, items, weights, stamps, settle=None) -> None:
+        """The one commit step of a micro-batch, leader or follower.
+
+        In order: WAL append, one ``update_batch`` call, the applied
+        sequence and counters, the idempotency stamps, the replication
+        publish, ``settle`` (the leader answers its waiters here), and
+        the checkpoint when the cadence is due.  Recovery replays the
+        logged batches through the same engine with the same
+        boundaries, which is what makes it bit-identical.
+        """
+        stats = self._stats
+        if self._snapshots is not None:
+            stats.wal_bytes += self._snapshots.append_wal(seq, items, weights)
+            stats.wal_records += 1
+        self._sketch.update_batch(items, weights)
         self._applied_seq = seq
-        self._pending_items -= total
         stats.applied_batches += 1
-        stats.applied_items += total
+        stats.applied_items += items.shape[0]
         for session, frame_seq in stamps:
             self.note_stamp(session, frame_seq)
         if self._replication is not None:
             # Publish the applied micro-batch with its exact boundaries:
             # followers replay the identical update_batch calls, which is
             # what makes replica state byte-identical to the leader's.
+            # A follower publishes too, to feed its own followers.
             self._replication.publish(seq, items, weights, stamps)
-        if size_flush:
-            stats.size_flushes += 1
-        else:
-            stats.time_flushes += 1
-        for part in parts:
-            future = part[2]
-            if future is not None and not future.done():
-                future.set_result(seq)
-        assert self._space_event is not None and self._idle_event is not None
-        self._space_event.set()
-        if not self._queue:
-            self._idle_event.set()
+        if settle is not None:
+            settle()
         if (
             self._snapshots is not None
             and seq - self._last_snapshot_seq >= self._config.snapshot_every_batches
@@ -634,14 +655,14 @@ class IngestPipeline:
     def apply_replica_frame(self, seq: int, items, weights, stamps=()) -> bool:
         """Apply one replicated micro-batch with the leader's boundaries.
 
-        The replica-side twin of :meth:`_apply`: WAL-append first, then
-        one synchronous ``update_batch`` call — so a follower's snapshot
-        directory recovers exactly like a leader's would.  A frame at or
-        below the applied sequence is a duplicate delivery (the leader
-        resent after a reconnect) and is skipped, returning ``False``; a
-        frame beyond ``applied_seq + 1`` is a gap and raises
-        :class:`~repro.errors.ReplicationError` — applying it would
-        silently diverge from the leader.
+        Runs the leader's commit step (:meth:`_commit`): WAL-append
+        first, then one synchronous ``update_batch`` call — so a
+        follower's snapshot directory recovers exactly like a leader's
+        would.  A frame at or below the applied sequence is a duplicate
+        delivery (the leader resent after a reconnect) and is skipped,
+        returning ``False``; a frame beyond ``applied_seq + 1`` is a gap
+        and raises :class:`~repro.errors.ReplicationError` — applying it
+        would silently diverge from the leader.
         """
         if seq <= self._applied_seq:
             return False
@@ -650,25 +671,7 @@ class IngestPipeline:
                 f"replication gap: expected frame {self._applied_seq + 1}, "
                 f"got {seq}"
             )
-        stats = self._stats
-        if self._snapshots is not None:
-            stats.wal_bytes += self._snapshots.append_wal(seq, items, weights)
-            stats.wal_records += 1
-        self._sketch.update_batch(items, weights)
-        self._applied_seq = seq
-        stats.applied_batches += 1
-        stats.applied_items += items.shape[0]
-        for session, frame_seq in stamps:
-            self.note_stamp(session, frame_seq)
-        if self._replication is not None:
-            # Cascaded replication: a follower can feed its own followers.
-            self._replication.publish(seq, items, weights, stamps)
-        if (
-            self._snapshots is not None
-            and seq - self._last_snapshot_seq
-            >= self._config.snapshot_every_batches
-        ):
-            self.snapshot_now()
+        self._commit(seq, items, weights, stamps)
         return True
 
     def install_snapshot(self, sketch, seq: int) -> None:

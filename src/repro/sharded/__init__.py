@@ -1,9 +1,8 @@
-"""Sharded parallel ingestion with merge-on-query.
+"""Sharded ingestion with merge-on-query.
 
 The scale-out layer: :class:`ShardedFrequentItemsSketch` hash-partitions
-items across independent shard sketches, ingests array batches in
-parallel through a thread pool, and answers every query from a cached
-merged view whose guarantees derive from the summed per-shard error.
+items across independent shard sketches, ingests array batches shard by
+shard, and answers every query from a cached merged view whose guarantees derive from the summed per-shard error.
 :mod:`repro.sharded.partition` holds the seeded item router.
 """
 

@@ -1,4 +1,4 @@
-"""Sharded parallel ingestion with merge-on-query (scale-out, Section 3).
+"""Sharded ingestion with merge-on-query (scale-out, Section 3).
 
 The paper's summary is mergeable by construction (Algorithm 5), which is
 what makes the scale-out shape of real deployments work: many ingest
@@ -9,10 +9,10 @@ one object:
 * **Hash-partitioned ingest** — every item is routed to one of ``n``
   independent shard sketches by a seeded 64-bit mix
   (:mod:`repro.sharded.partition`), so each shard observes a disjoint
-  substream.  Batches are masked per shard and ingested through each
-  shard's :class:`~repro.engine.kernel.SketchKernel` batch path on a
-  ``ThreadPoolExecutor``, so per-shard state is bit-reproducible given
-  the partition.
+  substream.  Batches are masked per shard and ingested, one shard
+  after another, through each shard's
+  :class:`~repro.engine.kernel.SketchKernel` batch path, so per-shard
+  state is bit-reproducible given the partition.
 * **Merge-on-query** — queries are answered from a flat view (one
   :class:`~repro.engine.kernel.SketchKernel` of capacity ``n * k``
   wrapped in a :class:`~repro.core.frequent_items.FrequentItemsSketch`)
@@ -25,9 +25,8 @@ one object:
 * **Why it is fast** — with ``n`` shards each keeping ``k`` counters,
   the aggregate table is ``n`` times larger, so decrement passes (and
   the batch segmentation they force) become rarer or disappear while
-  per-update work stays vectorized.  On multi-core hardware the shard
-  ingests also genuinely overlap, since the heavy NumPy kernels release
-  the GIL.
+  per-update work stays vectorized.  The speed comes from the table,
+  not from threads: shards are ingested serially.
 
 >>> import numpy as np
 >>> sketch = ShardedFrequentItemsSketch(64, num_shards=4, seed=1)
@@ -35,13 +34,10 @@ one object:
 ...                     np.array([100.0, 50.0, 25.0, 10.0]))
 >>> sketch.estimate(7)
 125.0
->>> sketch.close()
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -84,10 +80,6 @@ class ShardedFrequentItemsSketch:
         Master seed: fixes the partition and, through per-shard derived
         seeds, every shard's sampling and table hash.  Two sharded
         sketches built with the same seed and inputs are identical.
-    max_workers : int, optional
-        Thread-pool width for parallel batch ingest.  Defaults to
-        ``min(num_shards, os.cpu_count())`` — more workers than cores
-        only adds scheduling jitter.
 
     Examples
     --------
@@ -98,7 +90,6 @@ class ShardedFrequentItemsSketch:
     7.0
     >>> sketch.num_shards
     2
-    >>> sketch.close()
     """
 
     __slots__ = (
@@ -111,8 +102,6 @@ class ShardedFrequentItemsSketch:
         "_extra_offset",
         "_extra_weight",
         "_merged",
-        "_max_workers",
-        "_executor",
     )
 
     def __init__(
@@ -122,16 +111,11 @@ class ShardedFrequentItemsSketch:
         policy: Optional[DecrementPolicy] = None,
         backend: str = "probing",
         seed: int = 0,
-        max_workers: Optional[int] = None,
         growth: str = "fixed",
     ) -> None:
         if num_shards < 1:
             raise InvalidParameterError(
                 f"num_shards must be at least 1, got {num_shards}"
-            )
-        if max_workers is not None and max_workers < 1:
-            raise InvalidParameterError(
-                f"max_workers must be at least 1, got {max_workers}"
             )
         self._k = max_counters
         self._num_shards = num_shards
@@ -153,8 +137,6 @@ class ShardedFrequentItemsSketch:
         self._extra_offset = 0.0
         self._extra_weight = 0.0
         self._merged: Optional[FrequentItemsSketch] = None
-        self._max_workers = max_workers
-        self._executor: Optional[ThreadPoolExecutor] = None
 
     @classmethod
     def _from_parts(
@@ -163,7 +145,6 @@ class ShardedFrequentItemsSketch:
         seed: int,
         extra_offset: float,
         extra_weight: float,
-        max_workers: Optional[int] = None,
     ) -> "ShardedFrequentItemsSketch":
         """Rebuild from already-constructed shards (deserialization path)."""
         if not shards:
@@ -178,8 +159,6 @@ class ShardedFrequentItemsSketch:
         sketch._extra_offset = extra_offset
         sketch._extra_weight = extra_weight
         sketch._merged = None
-        sketch._max_workers = max_workers
-        sketch._executor = None
         return sketch
 
     # -- configuration introspection ------------------------------------------
@@ -287,41 +266,6 @@ class ShardedFrequentItemsSketch:
         """The shard sketch that owns ``item`` under the partition."""
         return self._shards[shard_of(item, self._num_shards, self._seed)]
 
-    # -- executor management ----------------------------------------------------
-
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            workers = self._max_workers
-            if workers is None:
-                workers = min(self._num_shards, os.cpu_count() or 1)
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-shard"
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the ingest thread pool (idempotent).
-
-        The sketch remains fully usable afterwards — a new pool is spun
-        up lazily if more parallel batches arrive.
-        """
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "ShardedFrequentItemsSketch":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter shutdown paths
-        try:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-        except Exception:
-            pass
-
     # -- updates ---------------------------------------------------------------
 
     def update(self, item: ItemId, weight: Weight = 1.0) -> None:
@@ -366,12 +310,12 @@ class ShardedFrequentItemsSketch:
             shards[shard_of(item, n, seed)].update(item, weight)
 
     def update_batch(self, items, weights=None) -> None:
-        """Partition one array batch across shards and ingest in parallel.
+        """Partition one array batch across shards and ingest it.
 
         The batch is validated once, masked into per-shard sub-batches
         by the seeded partition, and each sub-batch is fed through the
-        shard's existing vectorized ``update_batch`` path on the thread
-        pool.  Given the partition, per-shard results are bit-identical
+        shard's existing vectorized ``update_batch`` path, shard by
+        shard.  Given the partition, per-shard results are bit-identical
         to feeding each shard its substream directly.
 
         Parameters
@@ -393,23 +337,7 @@ class ShardedFrequentItemsSketch:
         if items.shape[0] == 0:
             return
         self._merged = None
-        if self._num_shards == 1:
-            self._shards[0].kernel.update_batch_validated(items, weights)
-            return
-        owners = shard_ids(items, self._num_shards, self._seed)
-
-        def ingest(index: int) -> None:
-            mask = owners == index
-            if mask.any():
-                self._shards[index].kernel.update_batch_validated(
-                    items[mask], weights[mask]
-                )
-
-        futures = [
-            self._pool().submit(ingest, index) for index in range(self._num_shards)
-        ]
-        for future in futures:
-            future.result()
+        self._ingest(items, weights)
 
     # -- merge-on-query view -----------------------------------------------------
 
@@ -628,7 +556,7 @@ class ShardedFrequentItemsSketch:
         for shard in other._shards:
             items, counts = shard._store.as_arrays()
             if len(items):
-                self._replay_counters(items, counts)
+                self._ingest(items, counts)
         self._extra_offset += other.maximum_error
         self._extra_weight += other.stream_weight - other._counter_mass()
         return self
@@ -655,27 +583,30 @@ class ShardedFrequentItemsSketch:
         mass = 0.0
         if len(items):
             mass = float(counts.sum())
-            self._replay_counters(items, counts)
+            self._ingest(items, counts)
         self._extra_offset += other.maximum_error
         self._extra_weight += other.stream_weight - mass
         return self
 
-    def _replay_counters(self, items: np.ndarray, counts: np.ndarray) -> None:
-        """Route foreign ``(item, count)`` pairs into the owning shards.
+    def _ingest(self, items: np.ndarray, weights: np.ndarray) -> None:
+        """Feed a validated batch to its owning shards, one after another.
 
-        Counter mass is credited to each shard's stream weight so that
-        the sharded total rises by exactly the replayed mass (the
-        caller accounts the remainder via ``_extra_weight``).  Replay
-        may trigger decrement passes on full shards; the resulting
-        offsets are accounted per shard, as in Algorithm 5.
+        The one ingest path for both new updates and replayed foreign
+        ``(item, count)`` pairs.  A replay credits the counter mass to
+        each shard's stream weight, so the sharded total rises by
+        exactly the replayed mass (the caller accounts the remainder via
+        ``_extra_weight``); it may trigger decrement passes on full
+        shards, whose offsets are accounted per shard, as in
+        Algorithm 5.
         """
+        if self._num_shards == 1:
+            self._shards[0].kernel.update_batch_validated(items, weights)
+            return
         owners = shard_ids(items, self._num_shards, self._seed)
-        for index in range(self._num_shards):
+        for index, shard in enumerate(self._shards):
             mask = owners == index
             if mask.any():
-                self._shards[index].kernel.update_batch_validated(
-                    items[mask], counts[mask]
-                )
+                shard.kernel.update_batch_validated(items[mask], weights[mask])
 
     def _counter_mass(self) -> float:
         """Total live counter mass across shards (a lower bound on N)."""
@@ -709,7 +640,6 @@ class ShardedFrequentItemsSketch:
             policy=self._policy,
             backend=self._backend,
             seed=self._seed,
-            max_workers=self._max_workers,
             growth=self.growth,
         )
         return fresh.merge(self)
@@ -736,8 +666,6 @@ class ShardedFrequentItemsSketch:
         dup._extra_offset = self._extra_offset
         dup._extra_weight = self._extra_weight
         dup._merged = None
-        dup._max_workers = self._max_workers
-        dup._executor = None
         return dup
 
     # -- accounting ------------------------------------------------------------------

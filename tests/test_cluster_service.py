@@ -25,6 +25,7 @@ from helpers import (
 from repro.errors import ClusterError, InvalidParameterError
 from repro.service.client import ClusterClient, ServiceError
 from repro.service.cluster import (
+    RING_VNODES,
     ClusterConfig,
     ClusterServer,
     TenantSpec,
@@ -68,8 +69,6 @@ def test_tenant_spec_validation():
 def test_cluster_config_validation():
     with pytest.raises(InvalidParameterError):
         ClusterConfig(num_workers=0)
-    with pytest.raises(InvalidParameterError):
-        ClusterConfig(frame_transport="carrier-pigeon")
     with pytest.raises(InvalidParameterError):
         ClusterConfig(ring_slots=0)
 
@@ -173,21 +172,6 @@ def test_sharded_tenant_partitions_like_library():
     asyncio.run(scenario())
 
 
-def test_pipe_transport_parity():
-    items, weights = zipf_batch(n=10_000, universe=200, seed=3)
-
-    async def run(transport):
-        config = ClusterConfig(
-            num_workers=2, frame_transport=transport, slot_capacity=1024
-        )
-        async with WorkerPool(config) as pool:
-            await pool.create_tenant("t", k=64, seed=1)
-            await pool.submit("t", items, weights)
-            return await pool.tenant_blobs("t")
-
-    assert asyncio.run(run("shm")) == asyncio.run(run("pipe"))
-
-
 def test_merged_view_cache_invalidates_on_write():
     async def scenario():
         async with WorkerPool(ClusterConfig(num_workers=2)) as pool:
@@ -244,13 +228,12 @@ def cpu_seconds(pid):
 
 
 @needs_proc
-@pytest.mark.parametrize("transport", ["shm", "pipe"])
-def test_idle_worker_spends_no_cpu(transport):
+def test_idle_worker_spends_no_cpu():
     """An idle worker sleeps until a frame, a message or the 1 s orphan
     check wakes it: no polling of the frame ring."""
 
     async def scenario():
-        config = ClusterConfig(num_workers=1, frame_transport=transport)
+        config = ClusterConfig(num_workers=1)
         async with WorkerPool(config) as pool:
             await pool.create_tenant("t", k=64)
             await pool.submit("t", np.arange(100, dtype=np.uint64))
@@ -272,7 +255,7 @@ def test_doorbell_wakes_an_idle_worker():
     gaps = [0.0, 0.0005, 0.002, 0.01, 0.05]
 
     async def scenario():
-        config = ClusterConfig(num_workers=1, frame_transport="shm")
+        config = ClusterConfig(num_workers=1)
         async with WorkerPool(config) as pool:
             await pool.create_tenant("t", k=64)
             await pool.drain()
@@ -355,7 +338,7 @@ def test_cluster_server_protocol():
                 stats = await client.stats()
                 assert stats["num_workers"] == 2
                 assert stats["routing"] == "ketama"
-                assert stats["frame_transport"] in ("shm", "pipe")
+                assert stats["vnodes"] == RING_VNODES
                 assert len(stats["workers"]) == 2
 
                 await client.tdrop("clicks")
@@ -468,18 +451,15 @@ def test_workers_flag_serves_cluster():
         process.stdout.close()
 
 
-@pytest.mark.parametrize("transport", ["shm", "pipe"])
 @pytest.mark.parametrize(
     "kill", [signal.SIGTERM, signal.SIGKILL], ids=["sigterm", "sigkill"]
 )
-def test_no_process_outlives_the_acceptor(kill, transport):
+def test_no_process_outlives_the_acceptor(kill):
     """SIGTERM takes the clean shutdown (exit 0, workers stopped); after
     a SIGKILL of the acceptor the orphaned workers notice and stop on
     their own.  Either way no process of the server's session — forked
     workers, resource tracker — survives 10 s."""
-    process, banner = serve_in_session(
-        "--workers", "2", "--frame-transport", transport
-    )
+    process, banner = serve_in_session("--workers", "2")
     try:
         assert "workers=2" in banner, banner
         assert len(session_processes(process.pid)) >= 3  # acceptor + workers

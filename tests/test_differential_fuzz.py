@@ -146,7 +146,7 @@ def _run_scenario(seed: int) -> None:
     )
     sharded = ShardedFrequentItemsSketch(
         max(k // 2, 2), num_shards=rng.choice([1, 2, 3]),
-        policy=policy_factory(), seed=sketch_seed, max_workers=1,
+        policy=policy_factory(), seed=sketch_seed,
     )
     oracle = ExactCounter()
     probes = np.array(
@@ -276,7 +276,6 @@ def _run_scenario(seed: int) -> None:
         assert_bounds_valid(sketch, oracle, tolerance=0.0)
     sharded.update_batch(*aggregate_arrays)
     assert_bounds_valid(sharded, oracle, tolerance=0.0)
-    sharded.close()
 
 
 @pytest.mark.parametrize("chunk", range(NUM_CHUNKS))

@@ -49,14 +49,11 @@ def test_estimate_batch_matches_scalar(backend, updates, queries):
 @settings(max_examples=15, deadline=None)
 def test_estimate_batch_matches_scalar_sharded(updates, queries):
     sketch = ShardedFrequentItemsSketch(8, num_shards=3, seed=17)
-    try:
-        for item, weight in updates:
-            sketch.update(item, float(weight))
-        batch = sketch.estimate_batch(queries)
-        scalar = np.array([sketch.estimate(item) for item in queries])
-        np.testing.assert_array_equal(batch, scalar)
-    finally:
-        sketch.close()
+    for item, weight in updates:
+        sketch.update(item, float(weight))
+    batch = sketch.estimate_batch(queries)
+    scalar = np.array([sketch.estimate(item) for item in queries])
+    np.testing.assert_array_equal(batch, scalar)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -7,10 +7,13 @@ The byte-offset test pins the RSHM layout documented in
 show up here.
 """
 
+import asyncio
+
 import numpy as np
 import pytest
 
 from repro.errors import ClusterError, InvalidParameterError
+from repro.service import cluster
 from repro.service.frames import (
     RING_HEADER_SIZE,
     RING_MAGIC,
@@ -193,3 +196,13 @@ def test_documented_byte_offsets(ring):
     base1 = RING_HEADER_SIZE + slot_stride
     assert int.from_bytes(raw[base1 : base1 + 8], "little") == 2
     assert int.from_bytes(raw[base1 + 8 : base1 + 12], "little") == 5
+
+
+def test_pool_refuses_to_start_without_shared_memory(monkeypatch):
+    """The ring is the only frame transport: without shared memory the
+    pool raises a typed error before it forks a single worker."""
+    monkeypatch.setattr(cluster, "shared_memory_available", lambda: False)
+    pool = cluster.WorkerPool(cluster.ClusterConfig(num_workers=1))
+    with pytest.raises(ClusterError, match="shared_memory"):
+        asyncio.run(pool.start())
+    assert pool.stats()["workers"] == []

@@ -79,14 +79,14 @@ def test_columnar_and_robinhood_blobs_hold_the_same_summary():
 def test_sharded_columnar_blob_decodes_as_probing():
     expected = _load("blobs.json")["sharded_columnar"]
     blob = (FIXTURES / "sharded_columnar.rfs1").read_bytes()
-    with ShardedFrequentItemsSketch.from_bytes(blob) as sketch:
-        assert sketch.backend == "probing"
-        assert all(shard.backend == "probing" for shard in sketch.shards)
-        assert [_counters(shard) for shard in sketch.shards] == expected[
-            "shard_counters"
-        ]
-        assert sketch.maximum_error == expected["offset"]
-        assert sketch.stream_weight == expected["stream_weight"]
+    sketch = ShardedFrequentItemsSketch.from_bytes(blob)
+    assert sketch.backend == "probing"
+    assert all(shard.backend == "probing" for shard in sketch.shards)
+    assert [_counters(shard) for shard in sketch.shards] == expected[
+        "shard_counters"
+    ]
+    assert sketch.maximum_error == expected["offset"]
+    assert sketch.stream_weight == expected["stream_weight"]
 
 
 # -- the live API --------------------------------------------------------------

@@ -52,7 +52,6 @@ def sharded_blob():
     items, weights = zipf_batch(n=4_000, universe=500, seed=10)
     sketch.update_batch(items, weights)
     blob = sketch.to_bytes()
-    sketch.close()
     return blob
 
 

@@ -154,7 +154,6 @@ def test_sharded_sketch_rides_the_pipeline():
         async with pipeline:
             await pipeline.submit(items, weights)
             await pipeline.drain()
-        sketch.close()
         return sketch
 
     sketch = run(main())

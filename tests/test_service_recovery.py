@@ -110,9 +110,7 @@ SKETCH_MAKERS = {
     "flat-probing-adaptive": lambda: FrequentItemsSketch(
         48, backend="probing", seed=11, growth="adaptive"
     ),
-    "sharded": lambda: ShardedFrequentItemsSketch(
-        32, num_shards=3, seed=11, max_workers=1
-    ),
+    "sharded": lambda: ShardedFrequentItemsSketch(32, num_shards=3, seed=11),
 }
 
 

@@ -37,7 +37,6 @@ def test_merge_empty_shards_into_populated():
     before = a.to_bytes()
     a.merge(ShardedFrequentItemsSketch(64, num_shards=4, seed=1))
     assert a.to_bytes() == before  # absorbing emptiness changes nothing
-    a.close()
 
 
 def test_merge_populated_into_empty_preserves_everything():
@@ -49,8 +48,6 @@ def test_merge_populated_into_empty_preserves_everything():
     assert target.stream_weight == source.stream_weight
     assert target.maximum_error >= source.maximum_error
     assert_bounds_valid(target, exact_of(batch))
-    source.close()
-    target.close()
 
 
 def test_shardwise_merge_bounds_and_weights_add():
@@ -64,8 +61,6 @@ def test_shardwise_merge_bounds_and_weights_add():
     # Offsets add shard-wise (replay may add more on full shards).
     assert a.maximum_error >= expected_error_floor - 1e-9
     assert_bounds_valid(a, exact_of(first, second))
-    a.close()
-    b.close()
 
 
 def test_merge_rejects_self_and_foreign_types():
@@ -88,8 +83,6 @@ def test_mismatched_shard_counts_reshard_correctly(shards_a, shards_b):
     b.update_batch(*second)
     a.merge(b)
     assert_bounds_valid(a, exact_of(first, second))
-    a.close()
-    b.close()
 
 
 def test_negative_seed_round_trip_still_merges_shardwise():
@@ -104,8 +97,6 @@ def test_negative_seed_round_trip_still_merges_shardwise():
     assert merged._extra_offset == 0.0
     assert merged.maximum_error == pytest.approx(2 * original.maximum_error)
     assert merged.stream_weight == 2 * original.stream_weight
-    original.close()
-    merged.close()
 
 
 def test_mismatched_partition_seeds_also_reshard():
@@ -115,8 +106,6 @@ def test_mismatched_partition_seeds_also_reshard():
     b.update_batch(*batch)
     a.merge(b)
     assert_bounds_valid(a, exact_of(batch))
-    a.close()
-    b.close()
 
 
 def test_reshard_preserves_summary():
@@ -129,8 +118,6 @@ def test_reshard_preserves_summary():
         assert wider.stream_weight == pytest.approx(sketch.stream_weight)
         assert wider.maximum_error >= sketch.maximum_error - 1e-9
         assert_bounds_valid(wider, exact_of(batch))
-        wider.close()
-    sketch.close()
 
 
 def test_reshard_to_same_count_is_shardwise_exact():
@@ -143,8 +130,6 @@ def test_reshard_to_same_count_is_shardwise_exact():
     view, clone_view = sketch.merged_view(), clone.merged_view()
     for row in view.to_rows():
         assert clone_view.lower_bound(row.item) == row.lower_bound
-    sketch.close()
-    clone.close()
 
 
 def test_absorb_flat_sketch():
@@ -159,7 +144,6 @@ def test_absorb_flat_sketch():
     # the carried-over offset.
     exact = exact_of(batch)
     assert_bounds_valid(sharded, exact)
-    sharded.close()
 
 
 def test_merge_distributed_workers_equals_guarantees_of_single_sketch():
@@ -178,5 +162,3 @@ def test_merge_distributed_workers_equals_guarantees_of_single_sketch():
     true_hh = set(exact.heavy_hitters(0.02))
     reported = {row.item for row in aggregate.heavy_hitters(0.02)}
     assert true_hh <= reported
-    for worker in workers:
-        worker.close()

@@ -44,7 +44,6 @@ def test_round_trip_is_byte_stable():
     assert clone.num_shards == sketch.num_shards
     assert clone.max_counters == sketch.max_counters
     assert clone.seed == sketch.seed
-    sketch.close()
 
 
 def test_round_trip_preserves_queries():
@@ -58,7 +57,6 @@ def test_round_trip_preserves_queries():
     assert [row.item for row in clone.heavy_hitters(0.01)] == [
         row.item for row in sketch.heavy_hitters(0.01)
     ]
-    sketch.close()
 
 
 def test_round_trip_of_empty_and_single_shard():
@@ -80,8 +78,6 @@ def test_round_trip_preserves_carried_over_accumulators():
     assert clone.maximum_error == a.maximum_error
     assert clone.stream_weight == a.stream_weight
     assert clone.to_bytes() == a.to_bytes()
-    a.close()
-    b.close()
 
 
 def test_deserialized_sketch_remains_operational():
@@ -90,8 +86,6 @@ def test_deserialized_sketch_remains_operational():
     clone.update_batch(*zipf_batch(seed=6))
     assert clone.stream_weight > sketch.stream_weight
     assert clone.heavy_hitters(0.01)
-    sketch.close()
-    clone.close()
 
 
 # -- malformed input ----------------------------------------------------------
@@ -186,4 +180,3 @@ def test_documented_offsets_parse_a_sharded_sketch():
         cursor += frame_length
     assert cursor == len(blob)
     assert sum(shard_weights) + extra_weight == sketch.stream_weight
-    sketch.close()

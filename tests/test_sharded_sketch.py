@@ -54,8 +54,6 @@ def test_constructor_validation():
     with pytest.raises(InvalidParameterError):
         ShardedFrequentItemsSketch(64, num_shards=0)
     with pytest.raises(InvalidParameterError):
-        ShardedFrequentItemsSketch(64, max_workers=0)
-    with pytest.raises(InvalidParameterError):
         ShardedFrequentItemsSketch(1)  # per-shard k too small
 
 
@@ -79,8 +77,6 @@ def test_scalar_and_batch_ingest_are_bit_identical():
     for item, weight in zip(items.tolist(), weights.tolist()):
         scalar.update(item, weight)
     assert batched.to_bytes() == scalar.to_bytes()
-    batched.close()
-    scalar.close()
 
 
 @pytest.mark.parametrize("backend", ["dict", "probing"])
@@ -90,7 +86,6 @@ def test_all_backends_supported(backend):
     sketch.update_batch(items, weights)
     assert sketch.stream_weight == float(weights.sum())
     assert sketch.num_active == sum(shard.num_active for shard in sketch.shards)
-    sketch.close()
 
 
 def test_each_item_lives_on_its_owner_shard_only():
@@ -102,7 +97,6 @@ def test_each_item_lives_on_its_owner_shard_only():
         for index, shard in enumerate(sketch.shards):
             assert (item in shard) == (index == owner)
         assert item in sketch
-    sketch.close()
 
 
 def test_single_shard_matches_its_own_flat_shard():
@@ -148,7 +142,6 @@ def test_merged_view_is_exact_without_decrements():
         assert sketch.estimate(item) == frequency
         assert sketch.lower_bound(item) == frequency
         assert sketch.upper_bound(item) == frequency
-    sketch.close()
 
 
 def test_merged_view_is_cached_and_invalidated_on_write():
@@ -177,7 +170,6 @@ def test_bounds_bracket_truth_under_pressure():
         assert sketch.lower_bound(item) <= frequency
         assert sketch.upper_bound(item) >= frequency
         assert abs(sketch.estimate(item) - frequency) <= sketch.maximum_error
-    sketch.close()
 
 
 def test_heavy_hitters_recall_is_total_under_pressure():
@@ -196,7 +188,6 @@ def test_heavy_hitters_recall_is_total_under_pressure():
     # And the no-false-positives direction never lies.
     for row in sketch.heavy_hitters(phi, ErrorType.NO_FALSE_POSITIVES):
         assert exact.frequency(row.item) >= phi * exact.total_weight - 1e-9
-    sketch.close()
 
 
 def test_rows_and_iteration_come_from_the_view():
@@ -222,17 +213,6 @@ def test_copy_is_independent():
     assert dup.to_bytes() != sketch.to_bytes()
 
 
-def test_context_manager_closes_pool():
-    items, weights = zipf_batch(n=4_000)
-    with ShardedFrequentItemsSketch(64, num_shards=4, seed=2) as sketch:
-        sketch.update_batch(items, weights)
-        assert sketch._executor is not None
-    assert sketch._executor is None
-    # Still usable after close: a new pool spins up on demand.
-    sketch.update_batch(items, weights)
-    sketch.close()
-
-
 def test_stats_aggregate_across_shards():
     items, weights = zipf_batch(n=8_000)
     sketch = ShardedFrequentItemsSketch(64, num_shards=4, seed=2)
@@ -243,4 +223,3 @@ def test_stats_aggregate_across_shards():
     assert total.decrements == sum(
         shard.stats.decrements for shard in sketch.shards
     )
-    sketch.close()

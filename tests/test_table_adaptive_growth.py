@@ -200,6 +200,3 @@ def test_sharded_adaptive_round_trip():
     assert restored.estimate(0) == sketch.estimate(0)
     wider = sketch.reshard(4)
     assert wider.growth == "adaptive"
-    sketch.close()
-    restored.close()
-    wider.close()
