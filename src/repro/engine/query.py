@@ -121,20 +121,11 @@ class QueryEngine:
             threshold = kernel.offset
         if threshold < 0:
             raise InvalidParameterError(f"threshold must be >= 0, got {threshold}")
-        rows = []
-        offset = kernel.offset
-        for item, count in kernel.store.items():
-            lower = count
-            upper = count + offset
-            qualifies = (
-                lower >= threshold
-                if error_type is ErrorType.NO_FALSE_POSITIVES
-                else upper >= threshold
-            )
-            if qualifies:
-                rows.append(HeavyHitterRow(item, upper, lower, upper))
-        rows.sort(key=lambda r: (-r.estimate, r.item))
-        return rows
+        keys, counts = kernel.store.as_arrays()
+        upper = counts + kernel.offset
+        bound = counts if error_type is ErrorType.NO_FALSE_POSITIVES else upper
+        keep = bound >= threshold
+        return _sorted_rows(keys[keep], counts[keep], upper[keep])
 
     def heavy_hitters(
         self,
@@ -148,10 +139,18 @@ class QueryEngine:
 
     def to_rows(self) -> list[HeavyHitterRow]:
         """All tracked items as rows, sorted by estimate descending."""
-        offset = self.kernel.offset
-        rows = [
-            HeavyHitterRow(item, count + offset, count, count + offset)
-            for item, count in self.kernel.store.items()
-        ]
-        rows.sort(key=lambda r: (-r.estimate, r.item))
-        return rows
+        keys, counts = self.kernel.store.as_arrays()
+        return _sorted_rows(keys, counts, counts + self.kernel.offset)
+
+
+def _sorted_rows(
+    keys: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> list[HeavyHitterRow]:
+    """``(item, upper, lower, upper)`` rows by estimate descending, ties
+    by item ascending — one sort over the arrays, then one ``tolist``
+    per column so items are Python ints and bounds Python floats."""
+    order = np.lexsort((keys, -upper))
+    estimates = upper[order].tolist()
+    return list(map(HeavyHitterRow._make, zip(
+        keys[order].tolist(), estimates, lower[order].tolist(), estimates
+    )))

@@ -44,7 +44,7 @@ from repro.errors import (
     ReplicationError,
     ServiceClosedError,
 )
-from repro.service.snapshot import SnapshotManager
+from repro.service.snapshot import SnapshotManager, encode_wal_record
 from repro.streams.model import as_batch
 
 #: Cap on remembered client resume sessions; oldest are evicted first.
@@ -511,6 +511,15 @@ class IngestPipeline:
         data = self._data_event
         loop = asyncio.get_running_loop()
         assert data is not None
+        expired = False
+
+        def expire() -> None:
+            # The flag, not loop.time(), is the verdict: asyncio may run
+            # a timer up to clock_resolution before its deadline.
+            nonlocal expired
+            expired = True
+            data.set()
+
         while True:
             if not queue:
                 if self._stopping:
@@ -521,36 +530,38 @@ class IngestPipeline:
                 continue
             parts = []
             total = 0
-            deadline = loop.time() + config.flush_interval
             size_flush = False
-            while True:
-                while queue and total < config.max_batch_items:
-                    part = queue.popleft()
-                    parts.append(part)
-                    total += part[0].shape[0]
-                if total >= config.max_batch_items:
-                    size_flush = True
-                    break
-                if self._stopping:
-                    break
-                if not queue and (
-                    self._flush_asap or any(part[2] is not None for part in parts)
-                ):
-                    # Someone is awaiting application (wait_applied futures
-                    # or a drain() call): making them sit out the rest of
-                    # the coalescing window would buy nothing — the queue
-                    # is already empty.
-                    break
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                # No await since the pop loop drained it, so the queue is
-                # empty here; wait for more data or the deadline.
-                data.clear()
-                try:
-                    await asyncio.wait_for(data.wait(), remaining)
-                except asyncio.TimeoutError:
-                    break
+            # One deadline per micro-batch window, armed after the flag
+            # is reset and cancelled however the window closes, so no
+            # stale timer can cut a later window short.
+            expired = False
+            timer = loop.call_at(loop.time() + config.flush_interval, expire)
+            try:
+                while True:
+                    while queue and total < config.max_batch_items:
+                        part = queue.popleft()
+                        parts.append(part)
+                        total += part[0].shape[0]
+                    if total >= config.max_batch_items:
+                        size_flush = True
+                        break
+                    if self._stopping or expired:
+                        break
+                    if not queue and (
+                        self._flush_asap
+                        or any(part[2] is not None for part in parts)
+                    ):
+                        # Someone is awaiting application (wait_applied
+                        # futures or a drain() call): making them sit out
+                        # the rest of the coalescing window would buy
+                        # nothing — the queue is already empty.
+                        break
+                    # No await since the pop loop drained it, so the queue
+                    # is empty here; wait for more data or the deadline.
+                    data.clear()
+                    await data.wait()
+            finally:
+                timer.cancel()
             self._apply(parts, total, size_flush)
         # The loop only exits with the queue empty and every collected
         # part applied: submits after _stopping raise ServiceClosedError,
@@ -607,11 +618,16 @@ class IngestPipeline:
         publish, ``settle`` (the leader answers its waiters here), and
         the checkpoint when the cadence is due.  Recovery replays the
         logged batches through the same engine with the same
-        boundaries, which is what makes it bit-identical.
+        boundaries, which is what makes it bit-identical.  The RWAL
+        record is encoded once, here, and the same bytes go to the WAL
+        and into the replication frame.
         """
         stats = self._stats
+        record = None
+        if self._snapshots is not None or self._replication is not None:
+            record = encode_wal_record(seq, items, weights)
         if self._snapshots is not None:
-            stats.wal_bytes += self._snapshots.append_wal(seq, items, weights)
+            stats.wal_bytes += self._snapshots.append_wal(record)
             stats.wal_records += 1
         self._sketch.update_batch(items, weights)
         self._applied_seq = seq
@@ -624,7 +640,7 @@ class IngestPipeline:
             # followers replay the identical update_batch calls, which is
             # what makes replica state byte-identical to the leader's.
             # A follower publishes too, to feed its own followers.
-            self._replication.publish(seq, items, weights, stamps)
+            self._replication.publish(seq, record, stamps)
         if settle is not None:
             settle()
         if (

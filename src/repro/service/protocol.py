@@ -217,19 +217,15 @@ def encode_repl_heartbeat(seq: int) -> bytes:
     return REPL_FRAME_HEARTBEAT + _HEARTBEAT.pack(seq)
 
 
-def encode_repl_fenced_frame(
-    epoch: int,
-    stamps,
-    seq: int,
-    items: np.ndarray,
-    weights: np.ndarray,
-) -> bytes:
+def encode_repl_fenced_frame(epoch: int, stamps, record: bytes) -> bytes:
     """An ``F`` frame: epoch + client idempotency stamps + RWAL record.
 
     ``stamps`` is a sequence of ``(session_id, frame_seq)`` pairs taken
     from the ``BINS`` frames coalesced into this micro-batch; followers
     replay them into their resume-session registry so a client resubmit
-    after failover is recognized as a duplicate.
+    after failover is recognized as a duplicate.  ``record`` is one
+    :func:`~repro.service.snapshot.encode_wal_record` result, shipped
+    byte for byte — the same bytes the leader appended to its WAL.
     """
     if len(stamps) > MAX_FRAME_STAMPS:
         raise ValueError(
@@ -244,7 +240,7 @@ def encode_repl_fenced_frame(
         parts.append(bytes((len(raw),)))
         parts.append(raw)
         parts.append(_STAMP_SEQ.pack(frame_seq))
-    parts.append(encode_wal_record(seq, items, weights))
+    parts.append(record)
     return b"".join(parts)
 
 

@@ -169,7 +169,7 @@ class ReplicationManager:
 
     # -- publishing ------------------------------------------------------------
 
-    def publish(self, seq: int, items, weights, stamps=()) -> None:
+    def publish(self, seq: int, record: bytes, stamps=()) -> None:
         """Record one applied micro-batch and wake every follower stream.
 
         Called synchronously from the pipeline's apply path, so the ring
@@ -183,9 +183,7 @@ class ReplicationManager:
         """
         if len(stamps) > protocol.MAX_FRAME_STAMPS:
             stamps = tuple(stamps)[-protocol.MAX_FRAME_STAMPS:]
-        frame = protocol.encode_repl_fenced_frame(
-            self.epoch, stamps, seq, items, weights
-        )
+        frame = protocol.encode_repl_fenced_frame(self.epoch, stamps, record)
         self._ring.append((seq, frame))
         self.frames_published += 1
         self.bytes_published += len(frame)

@@ -360,11 +360,14 @@ class SnapshotManager:
 
     # -- write-ahead log -------------------------------------------------------
 
-    def append_wal(self, seq: int, items: np.ndarray, weights: np.ndarray) -> int:
-        """Append one micro-batch record; returns the bytes written.
+    def append_wal(self, record: bytes) -> int:
+        """Append one encoded micro-batch record; returns the bytes written.
 
-        Must be called *before* the batch is applied to the sketch —
-        that ordering is what makes every applied batch recoverable.
+        ``record`` is one :func:`encode_wal_record` result; the pipeline
+        encodes each micro-batch once and ships the same bytes to its
+        followers.  Must be called *before* the batch is applied to the
+        sketch — that ordering is what makes every applied batch
+        recoverable.
 
         A failed append (``ENOSPC``, fsync failure) may leave a torn
         record at the segment tail, which recovery discards by CRC — but
@@ -384,7 +387,6 @@ class SnapshotManager:
                 f"WAL segment {self._wal_path!r} poisoned by an earlier "
                 "failed append; a checkpoint must rotate onto a fresh segment"
             )
-        record = encode_wal_record(seq, items, weights)
         try:
             self._write(self._wal, record, self._wal_path or "")
             self._wal.flush()

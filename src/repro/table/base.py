@@ -144,9 +144,9 @@ class CounterStore(ABC):
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Live ``(keys, counts)`` as parallel arrays, in storage order.
 
-        The bulk export the engine layer uses for kernel copies, the
-        sharded merge-on-query view, and counter replay during re-shard
-        merges.  The returned arrays are fresh copies — mutating them
+        The bulk export the engine layer uses for kernel copies,
+        heavy-hitter rows, the sharded merge-on-query view, and counter
+        replay during re-shard merges.  The returned arrays are fresh copies — mutating them
         never touches the store.
         """
         entries = list(self.items())

@@ -56,6 +56,7 @@ from repro.errors import (
 from repro.service import protocol
 from repro.service.client import RetryPolicy, ServiceClient
 from repro.service.faults import PERSISTENT, DiskFaultPlane
+from repro.service.snapshot import encode_wal_record
 
 from failover_harness import (
     CLUSTER_CFG,
@@ -510,7 +511,7 @@ def test_torn_wal_append_is_never_accepted(tmp_path):
             # The poisoned segment refuses any further append rather
             # than risk a record after a torn region.
             with pytest.raises(SerializationError):
-                manager.append_wal(8, feed[7][0], feed[7][1])
+                manager.append_wal(encode_wal_record(8, feed[7][0], feed[7][1]))
         finally:
             # stop() re-raises the surfaced fault; already asserted.
             with contextlib.suppress(OSError):

@@ -277,7 +277,9 @@ def make_fenced_frame(epoch: int, stamps, seq: int, rng: random.Random) -> bytes
     weights = np.array(
         [rng.uniform(0.5, 99.0) for _ in range(count)], dtype=np.float64
     )
-    return protocol.encode_repl_fenced_frame(epoch, stamps, seq, items, weights)
+    return protocol.encode_repl_fenced_frame(
+        epoch, stamps, encode_wal_record(seq, items, weights)
+    )
 
 
 def fenced_reference_stream(rng: random.Random):
@@ -389,18 +391,17 @@ def test_fenced_stamp_envelope_rejections():
 
 
 def test_fenced_encoder_refuses_invalid_stamps():
-    items = np.arange(1, 3, dtype=np.uint64)
-    weights = np.ones(2, dtype=np.float64)
+    record = encode_wal_record(
+        1, np.arange(1, 3, dtype=np.uint64), np.ones(2, dtype=np.float64)
+    )
     with pytest.raises(ValueError):
         protocol.encode_repl_fenced_frame(
-            1, [("s", 1)] * (protocol.MAX_FRAME_STAMPS + 1), 1, items, weights
+            1, [("s", 1)] * (protocol.MAX_FRAME_STAMPS + 1), record
         )
     with pytest.raises(ValueError):
-        protocol.encode_repl_fenced_frame(1, [("", 1)], 1, items, weights)
+        protocol.encode_repl_fenced_frame(1, [("", 1)], record)
     with pytest.raises(ValueError):
-        protocol.encode_repl_fenced_frame(
-            1, [("x" * 65, 1)], 1, items, weights
-        )
+        protocol.encode_repl_fenced_frame(1, [("x" * 65, 1)], record)
 
 
 def test_parser_survives_interleaved_partial_reads():

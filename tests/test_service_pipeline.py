@@ -234,6 +234,154 @@ def test_time_trigger_flushes_without_reaching_size():
     assert run(main()) == 1
 
 
+# -- the flush deadline: one timer per micro-batch window ---------------------
+
+
+class StampedSketch(FrequentItemsSketch):
+    """Records the loop time of every applied micro-batch."""
+
+    __slots__ = ("applied_at",)
+
+    def update_batch(self, items, weights=None):
+        super().update_batch(items, weights)
+        self.applied_at.append(asyncio.get_running_loop().time())
+
+
+def stamped_sketch():
+    sketch = StampedSketch(64, seed=3)
+    sketch.applied_at = []
+    return sketch
+
+
+def test_lone_submit_applies_after_flush_interval():
+    interval = 0.05
+
+    async def main():
+        sketch = stamped_sketch()
+        pipeline = IngestPipeline(
+            sketch,
+            config=PipelineConfig(max_batch_items=1 << 20,
+                                  flush_interval=interval),
+        )
+        async with pipeline:
+            submitted = asyncio.get_running_loop().time()
+            await pipeline.submit(np.array([4, 4, 9], dtype=np.uint64))
+            await await_applied_seq(pipeline, 1)
+        return pipeline, sketch.applied_at[0] - submitted
+
+    pipeline, elapsed = run(main())
+    assert interval * 0.9 <= elapsed < 5.0
+    stats = pipeline.stats
+    assert (stats.applied_batches, stats.time_flushes, stats.size_flushes) == (
+        1, 1, 0
+    )
+    assert pipeline.estimate(4) == 2.0
+
+
+@pytest.mark.parametrize("fire", ["soon", "inline"])
+def test_early_deadline_timer_still_closes_the_window(fire):
+    """asyncio may run a timer before its deadline; the window must close
+    on the timer's own verdict, not on a loop.time() re-check that could
+    leave it waiting with no timer armed.  The patched ``call_at`` fires
+    every callback at once, a minute early."""
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        pipeline = IngestPipeline(
+            FrequentItemsSketch(64, seed=3),
+            config=PipelineConfig(max_batch_items=1 << 20, flush_interval=60.0),
+        )
+        armed = []
+
+        def early(when, callback, *args, context=None):
+            armed.append(when - loop.time())
+            if fire == "inline":
+                callback(*args)
+                return loop.call_soon(lambda: None)
+            return loop.call_soon(callback, *args)
+
+        async with pipeline:
+            loop.call_at = early
+            try:
+                await pipeline.submit(np.array([1, 2, 2], dtype=np.uint64))
+                for _ in range(100):  # sleep(0) arms no timer
+                    if pipeline.applied_seq:
+                        break
+                    await asyncio.sleep(0)
+            finally:
+                del loop.call_at
+            applied = pipeline.applied_seq
+        return pipeline, applied, armed
+
+    pipeline, applied, armed = run(main())
+    assert applied == 1
+    assert len(armed) == 1 and armed[0] > 59.0
+    assert pipeline.stats.time_flushes == 1
+    assert pipeline.estimate(2) == 2.0
+
+
+@pytest.mark.parametrize("first_close", ["time", "drain"])
+def test_frame_after_a_flush_gets_its_own_full_window(first_close):
+    """The first window closes on its deadline or on drain(); the next
+    frame, submitted later, still waits a whole flush_interval — no
+    timer left over from the first window cuts it short."""
+    interval = 0.2
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        sketch = stamped_sketch()
+        pipeline = IngestPipeline(
+            sketch,
+            config=PipelineConfig(max_batch_items=1 << 20,
+                                  flush_interval=interval),
+        )
+        async with pipeline:
+            await pipeline.submit(np.array([5], dtype=np.uint64))
+            if first_close == "drain":
+                await pipeline.drain()
+                # Submit inside what was the first window's deadline.
+                await asyncio.sleep(interval / 2)
+            else:
+                await await_applied_seq(pipeline, 1)
+            submitted = loop.time()
+            await pipeline.submit(np.array([6], dtype=np.uint64))
+            await await_applied_seq(pipeline, 2)
+        return pipeline, sketch.applied_at[1] - submitted
+
+    pipeline, elapsed = run(main())
+    assert interval * 0.9 <= elapsed < 5.0
+    assert pipeline.stats.applied_batches == 2
+    assert pipeline.stats.time_flushes == 2
+
+
+def test_stop_inside_an_open_window_applies_collected_parts():
+    async def main():
+        loop = asyncio.get_running_loop()
+        pipeline = IngestPipeline(
+            FrequentItemsSketch(64, seed=4),
+            config=PipelineConfig(max_batch_items=1 << 20, flush_interval=60.0),
+        )
+        await pipeline.start()
+        await pipeline.submit(np.array([1, 1], dtype=np.uint64))
+        await pipeline.submit(np.array([1, 3], dtype=np.uint64))
+        for _ in range(3):
+            await asyncio.sleep(0)
+        # The drain task holds both parts in an open window.
+        assert not pipeline._queue and pipeline.applied_seq == 0
+        started = loop.time()
+        await pipeline.stop()
+        return pipeline, loop.time() - started
+
+    pipeline, elapsed = run(main())
+    assert elapsed < 5.0
+    assert pipeline.estimate(1) == 3.0 and pipeline.estimate(3) == 1.0
+    stats = pipeline.stats
+    assert (stats.applied_batches, stats.time_flushes, stats.size_flushes) == (
+        1, 1, 0
+    )
+    assert pipeline.pending_items == 0
+
+
 # -- validation and lifecycle -------------------------------------------------
 
 

@@ -25,7 +25,11 @@ from repro import (
     ShardedFrequentItemsSketch,
     SnapshotManager,
 )
-from repro.service.snapshot import decode_snapshot, encode_snapshot
+from repro.service.snapshot import (
+    decode_snapshot,
+    encode_snapshot,
+    encode_wal_record,
+)
 from repro.streams.zipf import ZipfianStream
 
 pytestmark = pytest.mark.service
@@ -177,7 +181,7 @@ def test_logged_but_never_applied_batch_replays(tmp_path):
         # Simulate dying after the WAL write, before update_batch: log
         # batch 6 by hand and drop everything.
         manager = pipeline._snapshots
-        manager.append_wal(6, feed[5][0], feed[5][1])
+        manager.append_wal(encode_wal_record(6, feed[5][0], feed[5][1]))
         manager.close()
 
     run(main())
@@ -335,8 +339,10 @@ def test_wal_gap_detected(tmp_path):
     manager = SnapshotManager(directory)
     sketch = FrequentItemsSketch(8, seed=2)
     manager.write_snapshot(sketch, seq=0)
-    manager.append_wal(1, np.array([1], dtype=np.uint64), np.array([1.0]))
-    manager.append_wal(3, np.array([2], dtype=np.uint64), np.array([1.0]))
+    for seq, item in ((1, 1), (3, 2)):
+        manager.append_wal(encode_wal_record(
+            seq, np.array([item], dtype=np.uint64), np.array([1.0])
+        ))
     manager.close()
     with pytest.raises(SerializationError, match="gap"):
         SnapshotManager(directory).recover()

@@ -11,6 +11,8 @@ read at.
 """
 
 import asyncio
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -24,12 +26,14 @@ from repro import (
     SnapshotManager,
     StreamServer,
 )
+from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.replication import (
     FollowerService,
     ReplicationConfig,
     ReplicationManager,
 )
+from repro.service.snapshot import encode_wal_record
 from repro.service.client import RetryPolicy
 
 from replication_harness import CLUSTER_CFG, FAST_REPL, ReplicaCluster
@@ -83,6 +87,40 @@ def test_follower_tracks_leader_byte_identically(kind):
                     )
 
     run(main())
+
+
+def test_published_frame_carries_the_wal_record_bytes(tmp_path):
+    """Each micro-batch's RWAL record is encoded once: the published
+    ``F`` frame ends with exactly the bytes appended to the WAL segment,
+    and those are the canonical encoding of the batch."""
+    feed = make_feed(num_batches=4, batch_size=50)
+    snapshots = SnapshotManager(str(tmp_path / "leader"))
+
+    async def main():
+        leader = make_leader(
+            lambda: FrequentItemsSketch(64, seed=1), snapshots=snapshots
+        )
+        appended = []
+        async with leader:
+            for index, (items, weights) in enumerate(feed):
+                before = os.path.getsize(snapshots._wal_path)
+                await leader.submit(
+                    items, weights, wait_applied=True, stamp=("sess", index)
+                )
+                with open(snapshots._wal_path, "rb") as segment:
+                    segment.seek(before)
+                    appended.append(segment.read())
+        return leader, appended
+
+    leader, appended = run(main())
+    frames = list(leader.replication._ring)
+    assert [seq for seq, _frame in frames] == [1, 2, 3, 4]
+    for (seq, frame), record, (items, weights) in zip(frames, appended, feed):
+        assert record == encode_wal_record(seq, items, weights)
+        assert frame.endswith(record)
+        header = frame[: len(frame) - len(record)]
+        assert header.startswith(protocol.REPL_FRAME_FENCED)
+        assert header.endswith(b"sess" + struct.pack("<Q", seq - 1))
 
 
 def test_bootstrap_replaces_mismatched_fresh_sketch():
