@@ -10,12 +10,15 @@
  *
  * Ported loops:
  *   - repro.hashing.mixers.fmix64 / hash_u64        -> fmix64, hash_seeded
- *   - repro.prng.xoroshiro.Xoroshiro128PlusPlus     -> xoro_next/xoro_randrange
+ *   - repro.prng.xoroshiro.Xoroshiro128PlusPlus     -> xoro_next (randrange
+ *     over a power-of-two table length accepts every draw)
  *   - repro.table.probing scalar get/add_to/insert  -> lp_find/lp_insert_absent
- *   - LinearProbingTable purge                      -> purge_sweep (the
- *     canonical ascending backward-shift sweep both NumPy strategies
- *     are proven layout-identical to)
- *   - SampleQuantilePolicy.decrement_value          -> sq_decrement
+ *   - LinearProbingTable adjust_all + purge         -> decrement_purge (the
+ *     placement rule of _purge_rebuild, run in place in O(L); both NumPy
+ *     purge strategies are layout-identical to it)
+ *   - SampleQuantilePolicy.decrement_value          -> sq_decrement (the
+ *     order statistic by selection, as the paper does, where the Python
+ *     "auto" selector sorts; one rank has one value)
  *   - SketchKernel.ingest (the scalar loop the segmented batch path is
  *     defined to be per-update-equivalent to)        -> py_ingest_batch
  *   - BatchGrouper.group                            -> py_group
@@ -109,22 +112,6 @@ xoro_next(xoro_t *rng)
     return result;
 }
 
-/* randrange(n): rejection sampling on the top of the 64-bit range,
- * consuming exactly the draws the Python implementation consumes. */
-static inline uint64_t
-xoro_randrange(xoro_t *rng, uint64_t n)
-{
-    /* 2**64 mod n, computed in uint64 arithmetic. */
-    uint64_t rem = ((uint64_t)0 - n) % n;
-    for (;;) {
-        uint64_t draw = xoro_next(rng);
-        /* Python accepts draw < 2**64 - rem (always, when rem == 0). */
-        if (rem == 0 || draw < ((uint64_t)0 - rem)) {
-            return draw % n;
-        }
-    }
-}
-
 /* ---------------------------------------------------------------------------
  * scalar probe walks (ports of the Python scalar methods, including the
  * exact probe_count accounting of the scalar call sequence)
@@ -172,47 +159,66 @@ lp_insert_absent(uint64_t *tk, double *tv, int64_t *ts, uint64_t mask,
 }
 
 /* ---------------------------------------------------------------------------
- * deletion + purge (ports of _remove_at and the canonical ascending
- * backward-shift sweep both NumPy purge strategies reproduce)
+ * decrement + purge in place (port of LinearProbingTable._purge_rebuild)
  * ------------------------------------------------------------------------- */
 
-static void
-lp_remove_at(uint64_t *tk, double *tv, int64_t *ts, uint64_t mask,
-             uint64_t slot)
-{
-    ts[slot] = 0;
-    uint64_t free_slot = slot;
-    uint64_t scan = (slot + 1) & mask;
-    while (ts[scan] != 0) {
-        uint64_t distance = (uint64_t)(ts[scan] - 1);
-        uint64_t home = (scan - distance) & mask;
-        uint64_t free_distance = (free_slot - home) & mask;
-        if (free_distance < distance) {
-            tk[free_slot] = tk[scan];
-            tv[free_slot] = tv[scan];
-            ts[free_slot] = (int64_t)free_distance + 1;
-            ts[scan] = 0;
-            free_slot = scan;
-        }
-        scan = (scan + 1) & mask;
-    }
-}
-
-/* The canonical scalar purge: sweep slots 0..L-1 ascending, removing
- * every non-positive counter with the backward shift and re-examining
- * the slot after each removal (shifting may move another counter in).
- * Values never change during the sweep and shifts only move counters
- * toward their homes, so exactly the non-positive counters are freed —
- * the same contract the two vectorized strategies satisfy. */
+/* Add `neg` to every live counter and free those that end up
+ * non-positive.  The decrement pass passes -c*; a plain purge passes
+ * -0.0, which leaves every value's bits unchanged.
+ *
+ * A branch-free sweep subtracts and frees: half the counters die in a
+ * decrement pass, so a branch on each would mispredict half the time
+ * (the bit masks keep the compiler from emitting one).
+ * A second walk then visits slots in cyclic run order, from just past
+ * a cell that was empty before the sweep, so every probe run is walked
+ * start to end even when it wraps.  Each survivor moves to the first
+ * free slot of its probe sequence: the placement _purge_rebuild replays
+ * into an emptied table, and the layout the backward-shift sweep
+ * leaves.  That slot lies between the survivor's home and its own cell,
+ * which the walk has already settled, so the pass runs in place; a
+ * survivor at its home stays.  Returns the number of counters freed,
+ * or -1 when no cell is empty (the load factor rules that out). */
 static int64_t
-purge_sweep(uint64_t *tk, double *tv, int64_t *ts, uint64_t mask)
+decrement_purge(uint64_t *tk, double *tv, int64_t *ts, uint64_t mask,
+                double neg)
 {
-    int64_t length = (int64_t)mask + 1;
+    uint64_t start = 0;
+    while (ts[start] != 0) {
+        if (start == mask) {
+            return -1;
+        }
+        start += 1;
+    }
     int64_t freed = 0;
-    for (int64_t slot = 0; slot < length; slot++) {
-        while (ts[slot] != 0 && tv[slot] <= 0.0) {
-            lp_remove_at(tk, tv, ts, mask, (uint64_t)slot);
-            freed += 1;
+    for (uint64_t slot = 0; slot <= mask; slot++) {
+        int64_t state = ts[slot];
+        double value = tv[slot] + neg;
+        int64_t live = -(int64_t)(state != 0);
+        int64_t keep = -(int64_t)(value > 0.0);
+        uint64_t old_bits, new_bits;
+        memcpy(&old_bits, &tv[slot], sizeof old_bits);
+        memcpy(&new_bits, &value, sizeof new_bits);
+        new_bits = (new_bits & (uint64_t)live) | (old_bits & ~(uint64_t)live);
+        memcpy(&tv[slot], &new_bits, sizeof new_bits);
+        ts[slot] = state & keep;
+        freed += live & ~keep & 1;
+    }
+    for (uint64_t step = 1; step <= mask; step++) {
+        uint64_t slot = (start + step) & mask;
+        int64_t state = ts[slot];
+        if (state <= 1) {
+            continue;
+        }
+        uint64_t home = (slot - (uint64_t)(state - 1)) & mask;
+        uint64_t dest = home;
+        while (dest != slot && ts[dest] != 0) {
+            dest = (dest + 1) & mask;
+        }
+        if (dest != slot) {
+            tk[dest] = tk[slot];
+            tv[dest] = tv[slot];
+            ts[dest] = (int64_t)((dest - home) & mask) + 1;
+            ts[slot] = 0;
         }
     }
     return freed;
@@ -228,6 +234,72 @@ cmp_double(const void *pa, const void *pb)
     double a = *(const double *)pa;
     double b = *(const double *)pb;
     return (a > b) - (a < b);
+}
+
+static inline void
+swap_double(double *a, double *b)
+{
+    double t = *a;
+    *a = *b;
+    *b = t;
+}
+
+/* sorted(a[:n])[rank] by in-place selection (the paper's Quickselect):
+ * Hoare partitions around a median-of-three pivot, which draws no PRNG
+ * words, keeping the side that holds `rank`.  A range still open after
+ * ~2*log2(n) rounds is sorted outright, which bounds the worst case at
+ * O(n log n).  An order statistic has one value, so the result is the
+ * one the sort returns. */
+static double
+select_rank(double *a, int64_t n, int64_t rank)
+{
+    int64_t lo = 0;
+    int64_t hi = n - 1;
+    int rounds_left = 2;
+    for (int64_t m = n; m > 1; m >>= 1) {
+        rounds_left += 2;
+    }
+    while (lo < hi) {
+        if (rounds_left-- == 0) {
+            qsort(a + lo, (size_t)(hi - lo + 1), sizeof(double), cmp_double);
+            break;
+        }
+        int64_t mid = lo + (hi - lo) / 2;
+        if (a[mid] < a[lo]) {
+            swap_double(&a[mid], &a[lo]);
+        }
+        if (a[hi] < a[lo]) {
+            swap_double(&a[hi], &a[lo]);
+        }
+        if (a[hi] < a[mid]) {
+            swap_double(&a[hi], &a[mid]);
+        }
+        double pivot = a[mid];
+        int64_t i = lo;
+        int64_t j = hi;
+        do {
+            while (i < hi && a[i] < pivot) {
+                i++;
+            }
+            while (j > lo && pivot < a[j]) {
+                j--;
+            }
+            if (i <= j) {
+                swap_double(&a[i], &a[j]);
+                i++;
+                j--;
+            }
+        } while (i <= j);
+        /* Now a[lo..j] <= pivot <= a[i..hi], and any cell between the
+         * two ranges holds the pivot itself. */
+        if (j < rank) {
+            lo = i;
+        }
+        if (rank < i) {
+            hi = j;
+        }
+    }
+    return a[rank];
 }
 
 static double
@@ -246,21 +318,21 @@ sq_decrement(const double *tv, const int64_t *ts, int64_t length,
         }
     }
     else {
-        /* sample_values(): rejection-sample physical slots, consuming
-         * exactly the Python draw sequence. */
+        /* sample_values(): rejection-sample physical slots.  The length
+         * is a power of two, so randrange(length) accepts every draw and
+         * reduces to its low bits: the Python draw sequence exactly. */
+        uint64_t mask = (uint64_t)length - 1;
         n = sample_size;
         for (int64_t j = 0; j < n; j++) {
-            for (;;) {
-                uint64_t slot = xoro_randrange(rng, (uint64_t)length);
-                if (ts[slot] != 0) {
-                    scratch[j] = tv[slot];
-                    break;
-                }
-            }
+            uint64_t slot;
+            do {
+                slot = xoro_next(rng) & mask;
+            } while (ts[slot] == 0);
+            scratch[j] = tv[slot];
         }
     }
     /* sample_quantile(..., selector="auto"): min/max at the extremes,
-     * full sort otherwise; rank = int(quantile * (n - 1)) truncated. */
+     * the order statistic of rank int(quantile * (n - 1)) otherwise. */
     if (quantile == 0.0) {
         double minimum = scratch[0];
         for (int64_t j = 1; j < n; j++) {
@@ -279,9 +351,7 @@ sq_decrement(const double *tv, const int64_t *ts, int64_t length,
         }
         return maximum;
     }
-    qsort(scratch, (size_t)n, sizeof(double), cmp_double);
-    int64_t rank = (int64_t)(quantile * (double)(n - 1));
-    return scratch[rank];
+    return select_rank(scratch, n, (int64_t)(quantile * (double)(n - 1)));
 }
 
 /* ---------------------------------------------------------------------------
@@ -479,9 +549,13 @@ py_purge_nonpositive(PyObject *Py_UNUSED(self), PyObject *args)
     int64_t freed;
 
     Py_BEGIN_ALLOW_THREADS
-    freed = purge_sweep(tk, tv, ts, mask);
+    freed = decrement_purge(tk, tv, ts, mask, -0.0);
     Py_END_ALLOW_THREADS
 
+    if (freed < 0) {
+        PyErr_SetString(PyExc_ValueError, "table has no empty slot");
+        return NULL;
+    }
     return PyLong_FromLongLong((long long)freed);
 }
 
@@ -552,13 +626,8 @@ py_ingest_batch(PyObject *Py_UNUSED(self), PyObject *args)
         double c_star = sq_decrement(tv, ts, length, size, sample_size,
                                      quantile, &rng, scratch);
         scanned += size;
-        double neg = -c_star;
-        for (int64_t s = 0; s < length; s++) {
-            if (ts[s] != 0) {
-                tv[s] += neg;
-            }
-        }
-        int64_t freed = purge_sweep(tk, tv, ts, mask);
+        /* size <= capacity < length: an empty cell always exists. */
+        int64_t freed = decrement_purge(tk, tv, ts, mask, -c_star);
         size -= freed;
         freed_total += freed;
         decrements += 1;
@@ -651,7 +720,7 @@ static PyMethodDef kernel_methods[] = {
     {"insert_many", py_insert_many, METH_VARARGS,
      "Scalar-equivalent batched insert on a probing table."},
     {"purge_nonpositive", py_purge_nonpositive, METH_VARARGS,
-     "Canonical ascending backward-shift purge sweep."},
+     "In-place purge of non-positive counters."},
     {"ingest_batch", py_ingest_batch, METH_VARARGS,
      "The scalar SketchKernel.ingest loop over a whole batch."},
     {"group", py_group, METH_VARARGS,

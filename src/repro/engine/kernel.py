@@ -190,6 +190,8 @@ class SketchKernel:
     def update(self, item: ItemId, weight: float = 1.0) -> None:
         """Validate and process one weighted stream update."""
         check_weight(item, weight)
+        # Counters hold floats on every backend, whatever the caller passed.
+        weight = float(weight)
         self.stream_weight += weight
         self.ingest(item, weight)
 

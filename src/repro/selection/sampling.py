@@ -35,10 +35,11 @@ def sample_quantile(
 
     * ``"auto"`` (default) — ``min``/``max`` for the extreme quantiles and
       a full sort otherwise.  The paper's implementation uses Quickselect
-      here, which is the right call in Java/C++; under CPython, ``min``
-      and ``sorted`` are C-coded and beat a Python-level Quickselect by
-      an order of magnitude at the paper's ℓ = 1024, so this is the
-      platform-appropriate equivalent of the same design decision.
+      here, and so does the compiled decrement pass (``repro._native``);
+      under CPython, ``min`` and ``sorted`` are C-coded and beat a
+      Python-level Quickselect by an order of magnitude at the paper's
+      ℓ = 1024, so this path keeps ``sorted()``.  A rank has one value,
+      so both return the same float.
     * ``"quickselect"`` — Hoare's FIND, for op-count-faithful runs (the
       backend ablation benchmark compares both).
     """

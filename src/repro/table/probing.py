@@ -206,8 +206,12 @@ class LinearProbingTable(CounterStore):
             zip(self._keys[occupied].tolist(), self._values[occupied].tolist())
         )
         self._allocate(length)
-        for key in log:
-            self._rehash_place(key, values_of[key])
+        self._place_into_empty(
+            np.array(log, dtype=np.uint64),
+            np.array([values_of[key] for key in log], dtype=np.float64),
+        )
+        if self._insertion_log is not None:
+            self._insertion_log = log
 
     def _rehash_place(self, key: ItemId, value: float) -> None:
         """Place a key known to be absent (no duplicate check, no probe tax)."""
@@ -494,9 +498,9 @@ class LinearProbingTable(CounterStore):
     def purge_nonpositive(self) -> int:
         kernels = table_kernels(self)
         if kernels is not None:
-            # The compiled sweep IS the canonical scalar 0..L-1
-            # backward-shift pass both strategies below reproduce.  The
-            # gate guarantees no insertion log to filter.
+            # The compiled pass places survivors by _purge_rebuild's
+            # rule, in place: the layout both strategies below reproduce.
+            # The gate guarantees no insertion log to filter.
             freed = kernels.purge_nonpositive(
                 self._keys, self._values, self._states
             )
@@ -569,14 +573,18 @@ class LinearProbingTable(CounterStore):
         live_slots = order[occupied[order]]
         live_values = self._values[live_slots]
         keep = live_values > 0.0
-        keys = self._keys[live_slots[keep]]
-        values = live_values[keep]
         self._states[:] = 0
+        self._place_into_empty(self._keys[live_slots[keep]], live_values[keep])
+
+    def _place_into_empty(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Insert ``keys`` in order into arrays with every slot empty.
+
+        FCFS positions then follow from a pure occupancy walk on a Python
+        list, and the placements scatter back in one vectorized pass per
+        column.  No probe tax is charged: neither a rehash nor a purge is
+        a lookup.
+        """
         homes = self._home_slots_array(keys)
-        # The table is empty now, so FCFS positions follow from a pure
-        # occupancy walk on a Python list (probe tax not charged: the
-        # in-place sweep this replaces never counted its shifts either);
-        # the placements scatter back in one vectorized pass per column.
         mask = self._mask
         occupancy = [0] * (mask + 1)
         positions = []

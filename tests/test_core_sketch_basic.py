@@ -57,6 +57,22 @@ def test_unit_weight_default():
     assert sketch.stream_weight == 2.0
 
 
+@pytest.mark.parametrize("backend", ["probing", "dict"])
+def test_scalar_answers_are_floats_after_integer_weights(backend):
+    sketch = FrequentItemsSketch(4, backend=backend, seed=2)
+    sketch.update(1, 3)
+    for item in range(2, 9):  # overflow: a decrement pass runs
+        sketch.update(item, 2)
+    sketch.update(1, 5)
+    answers = [
+        query(item)
+        for item in (1, 8, 99)
+        for query in (sketch.estimate, sketch.lower_bound, sketch.upper_bound)
+    ]
+    assert all(type(answer) is float for answer in answers), answers
+    assert type(sketch.stream_weight) is float
+
+
 def test_stream_weight_accumulates():
     sketch = FrequentItemsSketch(4, seed=2)
     for item in range(100):

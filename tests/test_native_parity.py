@@ -106,6 +106,45 @@ def test_kernel_bit_identity_quantile_extremes(quantile):
     assert _snapshot(fast) == _snapshot(slow)
 
 
+def _drive_selection(use_native_path, k, quantile, sample_size, weights):
+    with native.use_native(use_native_path):
+        kernel = SketchKernel(
+            k,
+            policy=SampleQuantilePolicy(
+                quantile=quantile, sample_size=sample_size
+            ),
+            backend="probing",
+            seed=29,
+        )
+        rng = np.random.default_rng(k)
+        items = (rng.zipf(1.05, size=24 * k) % (8 * k)).astype(np.uint64)
+        if weights == "unit":
+            counts = np.ones(items.size)
+        else:
+            counts = rng.integers(1, 10_001, size=items.size).astype(np.float64)
+        for chunk in np.array_split(np.arange(items.size), 6):
+            kernel.update_batch_validated(items[chunk], counts[chunk])
+        return kernel
+
+
+@pytest.mark.parametrize("weights", ("unit", "integer"))
+@pytest.mark.parametrize("k", (64, 1500))
+@pytest.mark.parametrize("sample_size", (1, 2, 1023, 1024))
+@pytest.mark.parametrize("quantile", (0.1, 0.5, 0.75, 0.9))
+def test_selection_bit_identity(quantile, sample_size, k, weights):
+    """The compiled pass selects the order statistic where the fallback
+    sorts; both must land on the same value, so offsets, layouts and RNG
+    words stay equal.  Unit weights tie counters heavily; integer
+    weights U[1, 10^4] (the paper's Section 4.5 stream) make them mostly
+    distinct.  ``k = 64`` with ``sample_size`` >= k takes the exact,
+    no-draw branch."""
+    fast = _drive_selection(True, k, quantile, sample_size, weights)
+    slow = _drive_selection(False, k, quantile, sample_size, weights)
+    assert fast.stats.decrements > 0
+    assert fast.rng.getstate() == slow.rng.getstate()
+    assert _snapshot(fast) == _snapshot(slow)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_serialized_bytes_identical(backend):
     """The public blob — byte for byte — across paths, then a restore
