@@ -303,6 +303,20 @@ def test_multi_follower_fanout_gate(benchmark, config):
 CLUSTER_SCALING_GATE = 2.5
 
 
+def _spread_tenants(count):
+    """``count`` tenant names that a ``count``-worker pool places on
+    ``count`` different workers (the pool routes a tenant to worker
+    ``shard_of(name, num_workers)``)."""
+    from repro.sharded.partition import shard_of
+
+    by_worker = {}
+    index = 0
+    while len(by_worker) < count:
+        by_worker.setdefault(shard_of(f"bench-t{index}", count), f"bench-t{index}")
+        index += 1
+    return sorted(by_worker.values())
+
+
 async def _run_cluster(config, slices, per_producer, num_workers):
     from repro.service.cluster import ClusterConfig, WorkerPool
 
@@ -310,7 +324,8 @@ async def _run_cluster(config, slices, per_producer, num_workers):
     cluster_config = ClusterConfig(
         num_workers=num_workers, default_k=k, default_seed=config.seed
     )
-    tenants = [f"bench-t{i}" for i in range(4)]
+    # The same four tenants at every pool size, one per worker at four.
+    tenants = _spread_tenants(4)
     async with WorkerPool(cluster_config) as pool:
         for name in tenants:
             await pool.create_tenant(name)

@@ -23,8 +23,8 @@ deployment shape:
 - :class:`~repro.service.cluster.WorkerPool` /
   :class:`~repro.service.cluster.ClusterServer` — the multi-process
   tenant cluster (``python -m repro.service --workers N``): named tenant
-  streams consistent-hash routed onto worker processes, zero-copy
-  shared-memory ingest frames, merged global views on query.
+  streams routed onto worker processes by a seeded hash partition,
+  zero-copy shared-memory ingest frames, merged global views on query.
 
 - :class:`~repro.service.failover.FailoverCoordinator` — automatic
   failover: epoch-fenced leader election over the replica set (``REPL
@@ -59,7 +59,6 @@ from repro.service.replication import (
     ReplicationConfig,
     ReplicationManager,
 )
-from repro.service.ring import HashRing
 
 __all__ = [
     "EpochStore",
@@ -80,7 +79,6 @@ __all__ = [
     "TenantSpec",
     "WorkerPool",
     "SharedFrameRing",
-    "HashRing",
     "ReplicationManager",
     "ReplicationConfig",
     "FollowerService",

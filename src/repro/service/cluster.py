@@ -10,11 +10,12 @@ error guarantees), which licenses the classic scale-out shape:
   :class:`~repro.service.snapshot.SnapshotManager` per tenant stream it
   owns, over per-tenant WAL/snapshot directories;
 * the asyncio acceptor becomes a thin router: a **tenant registry**
-  names the streams, a ketama-style :class:`~repro.service.ring.
-  HashRing` maps each tenant substream to its owning worker (growing the
-  pool moves ~1/N of tenants), and ingest batches cross the process
-  boundary as zero-copy :class:`~repro.service.frames.SharedFrameRing`
-  frames, one ring per worker, with a doorbell pipe to wake it;
+  names the streams, a seeded hash partition (the same
+  :func:`~repro.sharded.partition.shard_of` that splits sharded tenants)
+  maps each tenant substream to its owning worker, and ingest batches
+  cross the process boundary as zero-copy
+  :class:`~repro.service.frames.SharedFrameRing` frames, one ring per
+  worker, with a doorbell pipe to wake it;
 * per-tenant queries route to the owning worker; **global views**
   (``QEST``/``QHH`` over everything, or a sharded tenant's merged view)
   decode worker snapshot blobs and fold them with the existing
@@ -23,7 +24,7 @@ error guarantees), which licenses the classic scale-out shape:
 
 Determinism is load-bearing, not incidental: the acceptor chunks every
 submission at a fixed ``slot_capacity`` *before* routing, each frame is
-applied by its worker as exactly one micro-batch (one WAL record), and
+committed by its worker as exactly one micro-batch (one WAL record), and
 sharded tenants split with the same seeded partition the in-process
 sharded sketch uses.  A tenant's byte-for-byte state — wire blob and
 xoroshiro PRNG words — therefore depends only on the submitted op
@@ -63,7 +64,6 @@ from repro.service.frontend import (
     usage,
 )
 from repro.service.pipeline import IngestPipeline, PipelineConfig
-from repro.service.ring import HashRing
 from repro.service.snapshot import SnapshotManager, decode_snapshot, encode_snapshot
 from repro.sharded.partition import shard_ids, shard_of
 from repro.sharded.sketch import _shard_seed
@@ -82,11 +82,6 @@ _ORPHAN_CHECK_INTERVAL = 1.0
 #: How long pool shutdown waits for a worker to exit before killing it.
 _JOIN_TIMEOUT = 5.0
 
-#: Shape of the consistent-hash ring (see :class:`~repro.service.ring.
-#: HashRing`): virtual nodes per worker, and the hash seed.
-RING_VNODES = 64
-RING_SEED = 0
-
 #: The tenant behind the single-tenant verbs (``UPDATE``, ``EST``, ...).
 DEFAULT_TENANT = "default"
 
@@ -97,8 +92,9 @@ _REGISTRY_VERSION = 1
 def tenant_directory(data_dir: str, substream: str) -> str:
     """Where one tenant substream keeps its WAL/snapshot files.
 
-    Per-*tenant* (not per-worker) directories are what make pool
-    resizing safe: when the ring moves a substream to another worker,
+    Per-*tenant* (not per-worker) directories let any owner recover any
+    tenant: the seeded hash partition may route a substream to another
+    worker when the pool restarts with a different worker count, and
     the new owner recovers from the same directory.
     """
     return os.path.join(data_dir, "tenants", substream)
@@ -197,12 +193,6 @@ class ClusterConfig:
         depend on worker count.
     snapshot_every_batches:
         Per-tenant checkpoint cadence, in applied frames.
-    native:
-        Force the compiled ingest kernels on (``True``) or off
-        (``False``) in every worker; ``None`` inherits this process's
-        effective setting.  Workers get the flag explicitly because a
-        spawned child re-reads ``REPRO_NATIVE`` at import and could
-        otherwise diverge from the acceptor.
     default_k / default_backend / default_seed / default_shards:
         The spec used for tenants created without explicit parameters
         (including the implicit ``default`` tenant behind the legacy
@@ -214,7 +204,6 @@ class ClusterConfig:
     ring_slots: int = 64
     slot_capacity: int = 16_384
     snapshot_every_batches: int = 256
-    native: Optional[bool] = None
     default_k: int = 4096
     default_backend: str = "probing"
     default_seed: int = 0
@@ -249,10 +238,11 @@ class _WorkerRuntime:
     arrive on the pipe.  The acceptor rings a *doorbell* — one byte on a
     per-worker pipe — after publishing each ring frame, so a worker
     sleeps until a frame, a message or the orphan check wakes it, and
-    never polls the ring.  Every frame is applied as exactly one
-    pipeline micro-batch (``max_batch_items=1`` makes each submit a WAL
-    record of its own), and the ring slot is released only after the
-    apply, so the acceptor's watermark is an *applied* watermark.
+    never polls the ring.  Every frame is committed as exactly one
+    micro-batch (one WAL record) by one synchronous
+    :meth:`~repro.service.pipeline.IngestPipeline.apply_frame` call, and
+    the ring slot is released only after that commit, so the acceptor's
+    watermark is an *applied* watermark.
     Query handlers consume all published frames first: anything the
     acceptor shipped before asking is visible in the answer
     (read-your-writes).
@@ -362,10 +352,17 @@ class _WorkerRuntime:
                     f"worker {self._worker_id} got a frame for unknown "
                     f"tenant id {tid}"
                 )
-            # One frame = one micro-batch = one WAL record; awaiting the
-            # apply before releasing the slot is what keeps the zero-copy
-            # views valid and the consumed watermark honest.
-            await pipeline.submit(items, weights, wait_applied=True)
+            # One frame = one micro-batch = one WAL record; committing it
+            # before releasing the slot is what keeps the zero-copy views
+            # valid and the consumed watermark honest.
+            try:
+                pipeline.apply_frame(pipeline.applied_seq + 1, items, weights)
+            except BaseException:
+                # The sketch may hold part of the batch; the WAL is the
+                # truth, so this tenant stops without a final checkpoint.
+                del self._pipelines[tid]
+                await pipeline.stop(final_snapshot=False)
+                raise
             self._ring.commit(seq)
             progressed = True
 
@@ -431,14 +428,7 @@ class _WorkerRuntime:
         existing = self._pipelines.get(tid)
         if existing is not None:
             return existing.applied_seq
-        config = PipelineConfig(
-            # One submitted frame per micro-batch: batch boundaries are
-            # the acceptor's fixed-size chunks, never a timing accident.
-            max_batch_items=1,
-            flush_interval=3600.0,
-            max_pending_items=1 << 62,
-            snapshot_every_batches=payload["snapshot_every"],
-        )
+        config = PipelineConfig(snapshot_every_batches=payload["snapshot_every"])
         snapshots = None
         if self._data_dir is not None:
             directory = tenant_directory(self._data_dir, payload["name"])
@@ -474,8 +464,6 @@ class _WorkerRuntime:
                 pipeline.estimate(item),
                 pipeline.upper_bound(item),
             )
-        if kind == "stats":
-            return pipeline.stats_dict()
         raise ClusterError(f"unknown query kind {kind!r}")
 
 
@@ -540,7 +528,7 @@ class _WorkerHandle:
 
 
 class WorkerPool:
-    """N worker processes, one consistent-hash ring, one tenant registry.
+    """N worker processes, one seeded hash partition, one tenant registry.
 
     The pool is the cluster's whole control plane: it forks the workers,
     owns the shared-memory rings, persists the registry, routes frames
@@ -562,9 +550,6 @@ class WorkerPool:
 
     def __init__(self, config: Optional[ClusterConfig] = None) -> None:
         self._config = config if config is not None else ClusterConfig()
-        self._ring = HashRing(
-            self._config.num_workers, vnodes=RING_VNODES, seed=RING_SEED
-        )
         self._workers: list[_WorkerHandle] = []
         self._specs: dict[str, TenantSpec] = {}
         self._tids: dict[str, int] = {}
@@ -583,17 +568,13 @@ class WorkerPool:
     def num_workers(self) -> int:
         return self._config.num_workers
 
-    @property
-    def ring(self) -> HashRing:
-        return self._ring
-
     def list_tenants(self) -> list[TenantSpec]:
         """Registered tenants, in creation order."""
         return list(self._specs.values())
 
     def owner_of(self, substream: str) -> int:
-        """The worker id owning one substream (routing diagnostics)."""
-        return self._ring.owner(substream)
+        """The worker id owning one registered substream."""
+        return self._owners[substream]
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -612,9 +593,6 @@ class WorkerPool:
                 "frame rings, and this platform does not provide it"
             )
         config = self._config
-        native_flag = (
-            config.native if config.native is not None else native.enabled()
-        )
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
@@ -632,7 +610,7 @@ class WorkerPool:
                     ring.name,
                     bell_reader,
                     config.data_dir,
-                    native_flag,
+                    native.enabled(),
                     config.snapshot_every_batches,
                 ),
                 name=f"repro-cluster-worker-{worker_id}",
@@ -820,7 +798,7 @@ class WorkerPool:
         for index, substream in enumerate(spec.substreams()):
             tid = self._next_tid
             self._next_tid += 1
-            owner = self._ring.owner(substream)
+            owner = shard_of(substream, self._config.num_workers)
             self._tids[substream] = tid
             self._owners[substream] = owner
             await self._rpc(
@@ -1016,14 +994,6 @@ class WorkerPool:
         assert merged is not None  # a registered tenant has >= 1 substream
         return sum(stamp), merged.heavy_hitters(phi)
 
-    async def tenant_stats(self, tenant: str) -> dict[str, dict]:
-        """Per-substream pipeline/sketch counters of one tenant."""
-        spec = self._spec_of(tenant)
-        stats = {}
-        for substream in spec.substreams():
-            stats[substream] = await self._query(substream, "stats")
-        return stats
-
     async def tenant_blobs(self, tenant: str) -> dict[str, bytes]:
         """Per-substream RSNP checkpoint blobs (sketch + PRNG states).
 
@@ -1115,8 +1085,6 @@ class WorkerPool:
         ]
         return {
             "num_workers": self._config.num_workers,
-            "routing": "ketama",
-            "vnodes": RING_VNODES,
             "slot_capacity": self._config.slot_capacity,
             "tenants": [spec.as_dict() for spec in self._specs.values()],
             "substream_owners": dict(sorted(self._owners.items())),

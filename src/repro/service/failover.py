@@ -298,9 +298,6 @@ class FailoverCoordinator:
         self.follower: Optional[FollowerService] = None
         self._monitor_task: Optional[asyncio.Task] = None
         self._candidate = False
-        self._leadership = asyncio.Event()
-        if not pipeline.is_replica:
-            self._leadership.set()
         self._next_election_at = 0.0
         self._poll_rotation = 0
         # Counters + instrumentation (the MTTR bench reads these).
@@ -388,10 +385,6 @@ class FailoverCoordinator:
             self._monitor_task = None
         if self.follower is not None:
             await self.follower.stop()
-
-    async def wait_for_leadership(self, timeout: float = 30.0) -> None:
-        """Await this node winning an election (tests and tooling)."""
-        await asyncio.wait_for(self._leadership.wait(), timeout)
 
     # -- vote handling (server dispatch calls these) ----------------------------
 
@@ -569,7 +562,6 @@ class FailoverCoordinator:
         self._leader_addr = self._self_addr
         self.elections_won += 1
         self.promoted_at = asyncio.get_running_loop().time()
-        self._leadership.set()
         logger.warning(
             "%s: won election at epoch %d (seq %d); announcing to %d peers",
             self._node_id, epoch, self._pipeline.applied_seq, len(self._peers),
@@ -605,7 +597,6 @@ class FailoverCoordinator:
     async def _demote_and_follow(self) -> None:
         self._pipeline.demote()
         self.demotions += 1
-        self._leadership.clear()
         # Let any already-queued (pre-demotion) submissions settle before
         # the new subscription can reset the timeline underneath them.
         with contextlib.suppress(Exception):

@@ -611,7 +611,7 @@ class IngestPipeline:
             raise
 
     def _commit(self, seq: int, items, weights, stamps, settle=None) -> None:
-        """The one commit step of a micro-batch, leader or follower.
+        """The one commit step of a micro-batch, on any node or worker.
 
         In order: WAL append, one ``update_batch`` call, the applied
         sequence and counters, the idempotency stamps, the replication
@@ -668,12 +668,14 @@ class IngestPipeline:
         """True when this frame (or a later one) was already applied."""
         return self.resume_sessions.get(session, -1) >= frame_seq
 
-    def apply_replica_frame(self, seq: int, items, weights, stamps=()) -> bool:
-        """Apply one replicated micro-batch with the leader's boundaries.
+    def apply_frame(self, seq: int, items, weights, stamps=()) -> bool:
+        """Commit one micro-batch whose boundaries were fixed elsewhere.
 
-        Runs the leader's commit step (:meth:`_commit`): WAL-append
-        first, then one synchronous ``update_batch`` call — so a
-        follower's snapshot directory recovers exactly like a leader's
+        Followers call this with the leader's replicated frames, and
+        cluster workers with the acceptor's fixed-size ring frames.  It
+        runs the coalescing path's commit step (:meth:`_commit`):
+        WAL-append first, then one synchronous ``update_batch`` call —
+        so the snapshot directory recovers exactly like a leader's
         would.  A frame at or below the applied sequence is a duplicate
         delivery (the leader resent after a reconnect) and is skipped,
         returning ``False``; a frame beyond ``applied_seq + 1`` is a gap

@@ -54,7 +54,7 @@ request                    response
 
 **Tenant verbs (cluster mode).**  A server started with ``--workers N``
 serves many named tenant streams, each its own sketch, routed across
-worker processes by a consistent-hash ring.  Tenant names match
+worker processes by a seeded hash partition.  Tenant names match
 :data:`TENANT_NAME_PATTERN`.  Of the shared verbs above, the
 single-tenant ones (``UPDATE`` .. ``HH``) operate on an implicitly
 created ``default`` tenant; ``STATS`` reports the pool, ``SNAPSHOT``
@@ -100,14 +100,13 @@ leader pushes tagged binary frames and the follower sends back
 ``ACK <seq>\\n`` text lines on the same socket.  Each frame is one tag
 byte followed by a tag-specific body:
 
-- ``b"W"`` — one micro-batch, in exactly the RWAL on-disk record format
-  (``uint64 seq, uint32 count, uint32 crc`` then the item and weight
-  arrays; see ``docs/serialization.md``).  Appending the body verbatim
-  to a follower WAL segment is valid by construction.
-- ``b"F"`` — a fenced micro-batch: ``uint64 epoch``, then ``uint16``
+- ``b"F"`` — one fenced micro-batch: ``uint64 epoch``, then ``uint16``
   stamp count followed by that many ``(uint8 len, len ascii bytes,
-  uint64 frame_seq)`` client idempotency stamps, then the RWAL record
-  exactly as in ``W``.  The epoch fences stale leaders (a follower
+  uint64 frame_seq)`` client idempotency stamps, then one record in
+  exactly the RWAL on-disk format (``uint64 seq, uint32 count, uint32
+  crc`` then the item and weight arrays; see ``docs/serialization.md``),
+  so appending the record verbatim to a follower WAL segment is valid
+  by construction.  The epoch fences stale leaders (a follower
   rejects any frame whose epoch is below its own) and the stamps
   replicate the ``BINS`` dedup registry so client resubmits stay
   exactly-once across a failover.
@@ -136,7 +135,6 @@ from repro.errors import ReplicationError
 from repro.service.snapshot import (
     WAL_RECORD_HEADER_SIZE,
     decode_wal_payload,
-    encode_wal_record,
     parse_wal_record_header,
 )
 
@@ -160,7 +158,6 @@ def valid_tenant_name(name: str) -> bool:
     return bool(_TENANT_NAME_RE.match(name))
 
 #: Replication frame tags (one byte on the wire).
-REPL_FRAME_WAL = b"W"
 REPL_FRAME_SNAPSHOT = b"S"
 REPL_FRAME_HEARTBEAT = b"H"
 REPL_FRAME_FENCED = b"F"
@@ -201,12 +198,6 @@ def valid_session_id(session: str) -> bool:
     return bool(_SESSION_ID_RE.match(session))
 
 
-def encode_repl_wal_frame(seq: int, items: np.ndarray,
-                          weights: np.ndarray) -> bytes:
-    """A ``W`` frame: tag byte + the RWAL record, byte for byte."""
-    return REPL_FRAME_WAL + encode_wal_record(seq, items, weights)
-
-
 def encode_repl_snapshot_frame(blob: bytes) -> bytes:
     """An ``S`` frame: tag byte + uint64 length + RSNP snapshot blob."""
     return REPL_FRAME_SNAPSHOT + _SNAP_LEN.pack(len(blob)) + blob
@@ -244,14 +235,14 @@ def encode_repl_fenced_frame(epoch: int, stamps, record: bytes) -> bytes:
     return b"".join(parts)
 
 
-async def _read_wal_record(reader: asyncio.StreamReader, what: str):
-    """Read and check the RWAL record ending a ``W`` or ``F`` frame;
-    returns ``(seq, items, weights)``."""
+async def _read_wal_record(reader: asyncio.StreamReader):
+    """Read and check the RWAL record ending an ``F`` frame; returns
+    ``(seq, items, weights)``."""
     head = await reader.readexactly(WAL_RECORD_HEADER_SIZE)
     seq, count, stored_crc = parse_wal_record_header(head)
     if count > MAX_BIN_ITEMS:
         raise ReplicationError(
-            f"{what} {seq} claims {count} updates "
+            f"fenced frame {seq} claims {count} updates "
             f"(cap {MAX_BIN_ITEMS}); corrupt length prefix"
         )
     payload = await reader.readexactly(16 * count)
@@ -264,10 +255,9 @@ async def _read_wal_record(reader: asyncio.StreamReader, what: str):
 async def read_repl_frame(reader: asyncio.StreamReader):
     """Read one replication frame from ``reader``.
 
-    Returns ``("wal", seq, items, weights)``, ``("fenced", epoch,
-    stamps, seq, items, weights)``, ``("snapshot", blob)``,
-    ``("heartbeat", seq)``, or ``None`` on a clean EOF at a frame
-    boundary.  Anything else — an unknown tag, a truncated frame, a
+    Returns ``("fenced", epoch, stamps, seq, items, weights)``,
+    ``("snapshot", blob)``, ``("heartbeat", seq)``, or ``None`` on a
+    clean EOF at a frame boundary.  Anything else — an unknown tag, a truncated frame, a
     length prefix beyond the caps, a failed record CRC — raises
     :class:`~repro.errors.ReplicationError`: a replication stream can
     never be resynchronized mid-frame, so the caller must close and
@@ -277,8 +267,6 @@ async def read_repl_frame(reader: asyncio.StreamReader):
     if not tag:
         return None
     try:
-        if tag == REPL_FRAME_WAL:
-            return ("wal", *await _read_wal_record(reader, "replication frame"))
         if tag == REPL_FRAME_FENCED:
             (epoch,) = _EPOCH.unpack(await reader.readexactly(_EPOCH.size))
             (nstamps,) = _STAMP_COUNT.unpack(
@@ -313,7 +301,7 @@ async def read_repl_frame(reader: asyncio.StreamReader):
                     await reader.readexactly(_STAMP_SEQ.size)
                 )
                 stamps.append((session, frame_seq))
-            record = await _read_wal_record(reader, "fenced frame")
+            record = await _read_wal_record(reader)
             return ("fenced", epoch, tuple(stamps), *record)
         if tag == REPL_FRAME_SNAPSHOT:
             (length,) = _SNAP_LEN.unpack(

@@ -26,13 +26,13 @@ window that pauses sending to a follower that stops acknowledging.
 
 :class:`FollowerService` — follower side.  Connects to the leader with
 bounded exponential-backoff retries, subscribes from its pipeline's
-last applied sequence, and applies whatever arrives: ``W`` frames go
-through :meth:`~repro.service.pipeline.IngestPipeline.
-apply_replica_frame` (duplicate frames are skipped, gaps refuse),
-``S`` frames install a shipped checkpoint.  Every applied frame is
-acknowledged, and — with a local :class:`~repro.service.snapshot.
-SnapshotManager` attached — written to the follower's own WAL, so a
-killed follower recovers locally and re-subscribes from where it died.
+last applied sequence, and applies whatever arrives: ``F`` frames go
+through :meth:`~repro.service.pipeline.IngestPipeline.apply_frame`
+(duplicate frames are skipped, gaps refuse), ``S`` frames install a
+shipped checkpoint.  Every applied frame is acknowledged, and — with a
+local :class:`~repro.service.snapshot.SnapshotManager` attached —
+written to the follower's own WAL, so a killed follower recovers
+locally and re-subscribes from where it died.
 :meth:`FollowerService.promote` detaches from the leader and lifts the
 pipeline's read-only restriction: the follower becomes a leader.
 
@@ -132,16 +132,6 @@ class ReplicationManager:
     @property
     def config(self) -> ReplicationConfig:
         return self._config
-
-    @property
-    def num_followers(self) -> int:
-        return len(self._followers)
-
-    def min_acked_seq(self) -> Optional[int]:
-        """The slowest connected follower's acknowledged sequence."""
-        if not self._followers:
-            return None
-        return min(handle.acked_seq for handle in self._followers.values())
 
     def oldest_ring_seq(self) -> Optional[int]:
         return self._ring[0][0] if self._ring else None
@@ -426,12 +416,6 @@ class FollowerService:
     def last_error(self) -> Optional[BaseException]:
         return self._last_error
 
-    @property
-    def last_heard(self) -> Optional[float]:
-        """Loop-clock time of the last frame (or handshake) from the
-        leader; ``None`` before the first successful subscription."""
-        return self._last_heard
-
     def silence(self) -> Optional[float]:
         """Seconds since the leader was last heard from, or ``None``.
 
@@ -608,14 +592,7 @@ class FollowerService:
                 raise ConnectionResetError("leader closed the stream")
             self._last_heard = loop.time()
             kind = frame[0]
-            if kind == "wal":
-                _kind, seq, items, weights = frame
-                if pipeline.apply_replica_frame(seq, items, weights):
-                    self.frames_applied += 1
-                else:
-                    self.frames_skipped += 1  # duplicate delivery
-                self._leader_seq = max(self._leader_seq or 0, seq)
-            elif kind == "fenced":
+            if kind == "fenced":
                 _kind, epoch, stamps, seq, items, weights = frame
                 if epoch < pipeline.epoch:
                     # The fence: a deposed leader (or a frame queued
@@ -625,7 +602,7 @@ class FollowerService:
                         f"(ours is {pipeline.epoch}); dropping the link"
                     )
                 self._observe_epoch(epoch)
-                if pipeline.apply_replica_frame(seq, items, weights, stamps):
+                if pipeline.apply_frame(seq, items, weights, stamps):
                     self.frames_applied += 1
                 else:
                     self.frames_skipped += 1  # duplicate delivery

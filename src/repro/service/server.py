@@ -26,7 +26,6 @@ from repro.service.frontend import (
     usage,
 )
 from repro.service.pipeline import IngestPipeline
-from repro.service.pipeline import MAX_RESUME_SESSIONS  # noqa: F401  (re-export)
 
 _NO_FAILOVER = b"ERR failover is not enabled on this node\n", False
 
@@ -41,10 +40,6 @@ class StreamServer(LineServer):
     host, port:
         Bind address.  Port 0 (the default) picks a free port; read the
         bound one from :attr:`port` after :meth:`start`.
-    replication:
-        An optional :class:`~repro.service.replication.
-        ReplicationManager`: with one attached, ``REPL HELLO`` switches
-        a connection into the leader's frame stream.
     follower:
         An optional :class:`~repro.service.replication.FollowerService`
         when this server fronts a read replica; enables ``REPL
@@ -58,15 +53,14 @@ class StreamServer(LineServer):
 
     def __init__(
         self, pipeline: IngestPipeline, host: str = "127.0.0.1", port: int = 0,
-        *, replication=None, follower=None, coordinator=None,
+        *, follower=None, coordinator=None,
     ) -> None:
         super().__init__(host, port)
         self._pipeline = pipeline
-        # Default to the pipeline's own manager: a server is replication-
-        # capable whenever its pipeline publishes frames.
-        self._replication = (
-            replication if replication is not None else pipeline.replication
-        )
+        # A server is replication-capable whenever its pipeline publishes
+        # frames: with a manager attached, ``REPL HELLO`` switches a
+        # connection into the leader's frame stream.
+        self._replication = pipeline.replication
         self._follower = follower
         self._coordinator = coordinator
 

@@ -670,11 +670,6 @@ class LinearProbingTable(CounterStore):
                 occupied = np.concatenate([occupied[split:], occupied[:split]])
         return self._keys[occupied], self._values[occupied]
 
-    def serial_items(self) -> Iterator[tuple[ItemId, float]]:
-        """:meth:`serial_arrays` as ``(key, value)`` pairs."""
-        keys, values = self.serial_arrays()
-        return iter(zip(keys.tolist(), values.tolist()))
-
     def values_list(self) -> list[float]:
         return self._values[self._states != 0].tolist()
 

@@ -10,7 +10,7 @@ helpers in :mod:`repro.hashing` map strings and bytes onto that space.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Protocol, runtime_checkable
+from typing import Iterable, NamedTuple
 
 #: An item identifier.  The probing table requires non-negative 64-bit ints.
 ItemId = int
@@ -32,25 +32,3 @@ class StreamUpdate(NamedTuple):
 
 #: Anything that yields stream updates, item ids, or ``(item, weight)`` pairs.
 UpdateStream = Iterable[StreamUpdate]
-
-
-@runtime_checkable
-class SupportsUpdate(Protocol):
-    """Protocol implemented by every frequency summary in this library."""
-
-    def update(self, item: ItemId, weight: Weight = 1.0) -> None:
-        """Process one weighted stream update."""
-
-    def estimate(self, item: ItemId) -> float:
-        """Return the point-query estimate ``f-hat(item)``."""
-
-
-@runtime_checkable
-class SupportsBounds(Protocol):
-    """Protocol for summaries that expose deterministic error brackets."""
-
-    def lower_bound(self, item: ItemId) -> float:
-        """A value certainly ``<= f(item)``."""
-
-    def upper_bound(self, item: ItemId) -> float:
-        """A value certainly ``>= f(item)``."""

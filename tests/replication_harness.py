@@ -189,7 +189,7 @@ class ReplicaCluster:
 
     def drop_stream(self, budget: int = 13) -> None:
         """Cut the replication link after ``budget`` more bytes
-        (defaults to mid-frame: a W frame is 17+ bytes)."""
+        (defaults to mid-frame: an F frame is 27+ bytes)."""
         assert self.proxy is not None, "build the cluster with via_proxy=True"
         self.proxy.cut_after(budget)
 

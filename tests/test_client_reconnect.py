@@ -1,10 +1,15 @@
 """Client-side fault tolerance: reconnect, resubmit, and dedup.
 
 A :class:`ServiceClient` with a :class:`RetryPolicy` promises
-exactly-once ingestion across server restarts: update batches travel as ``BINS`` frames whose
-(session, frame_seq) stamp makes resends idempotent, so an ``OK`` lost
-to a crash is retried without double counting and a delivered batch is
-never re-applied.  The oracle here is exact by construction — the
+exactly-once ingestion across reconnects: update batches travel as
+``BINS`` frames whose (session, frame_seq) stamp makes resends
+idempotent, so an ``OK`` lost to a dropped connection is retried
+without double counting and a delivered batch is never re-applied.
+"Restart" here means a new :class:`StreamServer` over the same live
+pipeline.  The stamp registry lives only in that pipeline's memory
+(neither WAL records nor snapshots carry it), so a pipeline recovered
+after a process crash or restart forgets it, and a resend across one is
+applied twice; nothing here claims otherwise.  The oracle here is exact by construction — the
 serving sketch's capacity exceeds the item universe, so it never
 decrements and every estimate equals the true count; any lost or
 duplicated update would show up as an exact-count mismatch.

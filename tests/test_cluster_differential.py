@@ -50,25 +50,28 @@ def op_sequence():
 
 
 async def run_cluster(num_workers, use_native):
-    config = ClusterConfig(
-        num_workers=num_workers,
-        slot_capacity=SLOT_CAPACITY,
-        native=use_native,
-    )
-    async with WorkerPool(config) as pool:
-        for tenant, params in TENANTS.items():
-            await pool.create_tenant(tenant, **params)
-        for tenant, items, weights in op_sequence():
-            await pool.submit(tenant, items, weights)
-        blobs = {}
-        for tenant in TENANTS:
-            blobs[tenant] = await pool.tenant_blobs(tenant)
-        hh = {
-            tenant: await pool.heavy_hitters(tenant, 0.01)
-            for tenant in TENANTS
-        }
-        global_hh = await pool.global_heavy_hitters(0.005)
-    return blobs, hh, global_hh
+    config = ClusterConfig(num_workers=num_workers, slot_capacity=SLOT_CAPACITY)
+    # Workers take the acceptor's ingest path when the pool starts.
+    with native.use_native(use_native):
+        async with WorkerPool(config) as pool:
+            for tenant, params in TENANTS.items():
+                await pool.create_tenant(tenant, **params)
+            for tenant, items, weights in op_sequence():
+                await pool.submit(tenant, items, weights)
+            blobs = {}
+            for tenant in TENANTS:
+                blobs[tenant] = await pool.tenant_blobs(tenant)
+            hh = {
+                tenant: await pool.heavy_hitters(tenant, 0.01)
+                for tenant in TENANTS
+            }
+            global_hh = await pool.global_heavy_hitters(0.005)
+            workers = {
+                pool.owner_of(substream)
+                for tenant in TENANTS
+                for substream in blobs[tenant]
+            }
+    return blobs, hh, global_hh, workers
 
 
 def native_params():
@@ -83,8 +86,10 @@ def test_worker_count_is_invisible(use_native):
     one = asyncio.run(run_cluster(1, use_native))
     four = asyncio.run(run_cluster(4, use_native))
 
-    one_blobs, one_hh, one_global = one
-    four_blobs, four_hh, four_global = four
+    one_blobs, one_hh, one_global, _workers = one
+    four_blobs, four_hh, four_global, four_workers = four
+    # The comparison means something only if the substreams spread.
+    assert len(four_workers) > 1, four_workers
 
     for tenant in TENANTS:
         assert one_blobs[tenant].keys() == four_blobs[tenant].keys()

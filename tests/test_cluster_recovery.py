@@ -88,6 +88,8 @@ def test_kill_worker_mid_batch_recovers_bit_identical(tmp_path, kill_at):
         try:
             await create_tenants(pool)
             victim = pool.owner_of("alpha")
+            # "beta" must live on the worker that survives the kill.
+            assert pool.owner_of("beta") != victim
             # Phase 1: the settled prefix.
             for tenant, frames in feed.items():
                 for items, weights in frames[:kill_at]:
@@ -108,6 +110,7 @@ def test_kill_worker_mid_batch_recovers_bit_identical(tmp_path, kill_at):
                     await pool.drain()
                     await pool.estimate("alpha", 1)
                     raise AssertionError("dead worker went unnoticed")
+            await pool.estimate("beta", 1)  # the survivor still answers
         finally:
             await pool.stop(final_snapshot=False)
 

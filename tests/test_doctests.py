@@ -21,7 +21,6 @@ MODULES_WITH_DOCTESTS = [
     "repro.prng.xoroshiro",
     "repro.service.cluster",
     "repro.service.pipeline",
-    "repro.service.ring",
     "repro.sharded.partition",
     "repro.sharded.sketch",
     "repro.types",

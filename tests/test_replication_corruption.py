@@ -6,7 +6,7 @@ well-formed frame, reports a clean EOF (``None``), or raises
 :class:`ReplicationError` — never an unwrapped ``struct.error`` /
 ``ValueError`` / silent desync where a parsed frame differs from what a
 byte-faithful peer actually sent.  The same property is pinned for the
-on-disk WAL record codec the ``W`` frame body reuses.
+on-disk WAL record codec the ``F`` frame's record reuses.
 """
 
 import asyncio
@@ -60,7 +60,7 @@ def drain_frames(data: bytes):
     return asyncio.run(run())
 
 
-def make_wal_frame(seq: int, rng: random.Random) -> bytes:
+def make_fenced_frame(epoch: int, stamps, seq: int, rng: random.Random) -> bytes:
     count = rng.randint(1, 9)
     items = np.array(
         [rng.randrange(1 << 64) for _ in range(count)], dtype=np.uint64
@@ -68,18 +68,14 @@ def make_wal_frame(seq: int, rng: random.Random) -> bytes:
     weights = np.array(
         [rng.uniform(0.5, 99.0) for _ in range(count)], dtype=np.float64
     )
-    return protocol.encode_repl_wal_frame(seq, items, weights)
+    return protocol.encode_repl_fenced_frame(
+        epoch, stamps, encode_wal_record(seq, items, weights)
+    )
 
 
 def frames_equal(parsed, reference) -> bool:
     if parsed[0] != reference[0]:
         return False
-    if parsed[0] == "wal":
-        return (
-            parsed[1] == reference[1]
-            and np.array_equal(parsed[2], reference[2])
-            and np.array_equal(parsed[3], reference[3])
-        )
     if parsed[0] == "fenced":
         return (
             parsed[1] == reference[1]
@@ -98,13 +94,11 @@ def reference_stream(rng: random.Random):
     sketch = FrequentItemsSketch(16, seed=5)
     sketch.update(3, 2.0)
     blob = encode_snapshot(sketch, 7)
-    wal_one = make_wal_frame(1, rng)
-    wal_two = make_wal_frame(2, rng)
     data = (
-        wal_one
+        make_fenced_frame(0, (), 1, rng)
         + protocol.encode_repl_heartbeat(2)
         + protocol.encode_repl_snapshot_frame(blob)
-        + wal_two
+        + make_fenced_frame(0, (), 2, rng)
     )
     expected, _ = drain_frames(data)
     assert len(expected) == 4
@@ -116,7 +110,9 @@ def test_clean_stream_round_trips():
     frames, error = drain_frames(data)
     assert error is None
     assert len(frames) == 4
-    assert [f[0] for f in frames] == ["wal", "heartbeat", "snapshot", "wal"]
+    assert [f[0] for f in frames] == [
+        "fenced", "heartbeat", "snapshot", "fenced"
+    ]
 
 
 def test_truncation_at_every_byte_offset():
@@ -129,8 +125,8 @@ def test_truncation_at_every_byte_offset():
     lengths = []
     cursor = 0
     for frame in expected:
-        if frame[0] == "wal":
-            size = 1 + WAL_RECORD_HEADER_SIZE + 16 * len(frame[2])
+        if frame[0] == "fenced":  # no stamps: tag, epoch, stamp count
+            size = 1 + 8 + 2 + WAL_RECORD_HEADER_SIZE + 16 * len(frame[4])
         elif frame[0] == "snapshot":
             size = 1 + 8 + len(frame[1])
         else:
@@ -156,19 +152,22 @@ def test_truncation_at_every_byte_offset():
 def test_single_byte_flips_never_escape():
     """Flip each byte of the stream (all 8 bits sampled via XOR mask):
     parsing must end in frames and/or a ReplicationError — no other
-    exception, and no bogus 'wal' frame (the CRC covers every body
-    byte, so a flipped W frame cannot parse as a different batch)."""
+    exception, and no bogus batch (the CRC covers every record byte, so
+    a flipped F frame cannot parse as a different batch)."""
     rng = random.Random(3)
     data, expected = reference_stream(rng)
-    wal_seqs = {f[1]: f for f in expected if f[0] == "wal"}
+    records = {f[3]: (f[4], f[5]) for f in expected if f[0] == "fenced"}
     for position in range(len(data)):
         mask = rng.randint(1, 255)
         mutated = bytearray(data)
         mutated[position] ^= mask
         frames, error = drain_frames(bytes(mutated))
         for frame in frames:
-            if frame[0] == "wal" and frame[1] in wal_seqs:
-                assert frames_equal(frame, wal_seqs[frame[1]]), (
+            if frame[0] == "fenced" and frame[3] in records:
+                ref_items, ref_weights = records[frame[3]]
+                assert np.array_equal(frame[4], ref_items) and (
+                    np.array_equal(frame[5], ref_weights)
+                ), (
                     f"flip at {position} produced a corrupt WAL batch "
                     "that passed its CRC"
                 )
@@ -178,9 +177,9 @@ def test_single_byte_flips_never_escape():
 def test_flipped_length_prefixes_are_rejected_before_allocation():
     """A hostile count/length prefix must be refused by the cap check,
     not answered with a giant readexactly allocation."""
-    # W frame claiming 2**31 updates.
-    head = struct.pack("<QII", 9, 1 << 31, 0)
-    frames, error = drain_frames(b"W" + head + b"\x00" * 64)
+    # F frame (epoch 1, no stamps) whose record claims 2**31 updates.
+    head = struct.pack("<QHQII", 1, 0, 9, 1 << 31, 0)
+    frames, error = drain_frames(b"F" + head + b"\x00" * 64)
     assert frames == []
     assert isinstance(error, ReplicationError)
     assert "cap" in str(error)
@@ -192,7 +191,7 @@ def test_flipped_length_prefixes_are_rejected_before_allocation():
 
 
 def test_unknown_tags_are_rejected():
-    for tag in (b"X", b"\x00", b"w", b"s", b"\xff"):
+    for tag in (b"W", b"X", b"\x00", b"w", b"s", b"\xff"):
         frames, error = drain_frames(tag + b"\x00" * 32)
         assert frames == []
         assert isinstance(error, ReplicationError)
@@ -206,7 +205,7 @@ def test_random_garbage_streams_fuzz():
         data = rng.randbytes(rng.randint(0, 200))
         frames, error = drain_frames(data)
         for frame in frames:
-            assert frame[0] in ("wal", "snapshot", "heartbeat")
+            assert frame[0] in ("fenced", "snapshot", "heartbeat")
         assert error is None or isinstance(error, ReplicationError)
 
 
@@ -214,7 +213,7 @@ def test_garbage_preceded_by_valid_frames_fuzz():
     """Noise appended to a valid prefix must not corrupt the prefix."""
     rng = random.Random(5)
     for _ in range(100):
-        prefix_frame = make_wal_frame(11, rng)
+        prefix_frame = make_fenced_frame(0, (), 11, rng)
         data = prefix_frame + rng.randbytes(rng.randint(1, 120))
         frames, error = drain_frames(data)
         assert frames, "the valid leading frame must still parse"
@@ -266,20 +265,7 @@ def test_snapshot_decode_rejects_flips_and_truncations():
 
 
 # --------------------------------------------------------------------------
-# F (epoch-fenced) frames — PR 9's epoch + idempotency-stamp envelope
-
-
-def make_fenced_frame(epoch: int, stamps, seq: int, rng: random.Random) -> bytes:
-    count = rng.randint(1, 6)
-    items = np.array(
-        [rng.randrange(1 << 64) for _ in range(count)], dtype=np.uint64
-    )
-    weights = np.array(
-        [rng.uniform(0.5, 99.0) for _ in range(count)], dtype=np.float64
-    )
-    return protocol.encode_repl_fenced_frame(
-        epoch, stamps, encode_wal_record(seq, items, weights)
-    )
+# Stamped and multi-epoch F frames: the epoch + idempotency-stamp envelope
 
 
 def fenced_reference_stream(rng: random.Random):
@@ -313,9 +299,9 @@ def test_fenced_stream_round_trips():
 
 
 def test_fenced_truncation_at_every_byte_offset():
-    """Same guarantee the W/S/H frames carry: a cut anywhere yields the
-    complete prefix byte-identically, then clean EOF (on a boundary) or
-    ReplicationError (mid-frame) — never a desynced parse."""
+    """Same guarantee the unstamped stream carries: a cut anywhere
+    yields the complete prefix byte-identically, then clean EOF (on a
+    boundary) or ReplicationError (mid-frame) — never a desynced parse."""
     rng = random.Random(12)
     data, expected, lengths = fenced_reference_stream(rng)
     boundaries = {0, *lengths}

@@ -332,6 +332,40 @@ def test_recover_empty_directory(tmp_path):
         IngestPipeline.recover(SnapshotManager(directory))
 
 
+def test_apply_frame_logs_one_record_per_frame(tmp_path):
+    """A leader pipeline committing N frames with ``apply_frame`` (the
+    cluster worker's path) writes N WAL records carrying exactly those
+    boundaries, and recovers to the state of N ``update_batch`` calls."""
+    feed = make_feed(num_batches=7, batch_size=123)
+    directory = str(tmp_path / "frames")
+    make_sketch = SKETCH_MAKERS["flat-probing"]
+
+    async def main():
+        pipeline = IngestPipeline(
+            make_sketch(),
+            config=PipelineConfig(snapshot_every_batches=1000),
+            snapshots=SnapshotManager(directory),
+        )
+        await pipeline.start()
+        for seq, (items, weights) in enumerate(feed, start=1):
+            assert pipeline.apply_frame(seq, items, weights)
+        await pipeline.stop(final_snapshot=False)
+
+    run(main())
+    # No checkpoint after the baseline: one segment holds every record.
+    (segment,) = [name for name in os.listdir(directory) if name.endswith(".rwal")]
+    records = list(SnapshotManager._read_records(os.path.join(directory, segment)))
+    assert [seq for seq, _items, _weights in records] == list(range(1, 8))
+    for (_seq, items, weights), (fed_items, fed_weights) in zip(records, feed):
+        assert np.array_equal(items, fed_items)
+        assert np.array_equal(weights, fed_weights)
+    recovered, seq = SnapshotManager(directory).recover()
+    assert seq == len(feed)
+    assert (recovered.to_bytes(), rng_states(recovered)) == reference_state(
+        make_sketch, feed
+    )
+
+
 def test_wal_gap_detected(tmp_path):
     """A missing record in the middle is corruption, not a torn tail —
     replay must refuse rather than skip silently."""

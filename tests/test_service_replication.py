@@ -199,18 +199,18 @@ def test_ring_overflow_triggers_snapshot_catchup():
 
 
 def test_duplicate_frames_are_skipped_not_reapplied():
-    """apply_replica_frame is exactly-once-apply: duplicates return
+    """apply_frame is exactly-once-apply: duplicates return
     False and change nothing; gaps refuse loudly."""
     sketch = FrequentItemsSketch(64, seed=3)
     pipeline = IngestPipeline(sketch, replica=True)
     items = np.array([5, 6], dtype=np.uint64)
     weights = np.array([2.0, 3.0])
-    assert pipeline.apply_replica_frame(1, items, weights) is True
+    assert pipeline.apply_frame(1, items, weights) is True
     before = pipeline.sketch.to_bytes()
-    assert pipeline.apply_replica_frame(1, items, weights) is False
+    assert pipeline.apply_frame(1, items, weights) is False
     assert pipeline.sketch.to_bytes() == before
     with pytest.raises(ReplicationError, match="gap"):
-        pipeline.apply_replica_frame(3, items, weights)
+        pipeline.apply_frame(3, items, weights)
     assert pipeline.applied_seq == 1
 
 
@@ -234,7 +234,7 @@ def test_install_snapshot_refuses_rewind():
     pipeline = IngestPipeline(FrequentItemsSketch(64, seed=3), replica=True)
     items = np.array([5], dtype=np.uint64)
     for seq in (1, 2, 3):
-        pipeline.apply_replica_frame(seq, items, np.array([1.0]))
+        pipeline.apply_frame(seq, items, np.array([1.0]))
     with pytest.raises(ReplicationError, match="rewind|below"):
         pipeline.install_snapshot(FrequentItemsSketch(64, seed=3), 2)
 

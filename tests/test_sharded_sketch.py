@@ -44,7 +44,43 @@ def test_partition_rejects_bad_shard_count():
     with pytest.raises(InvalidParameterError):
         shard_of(1, 0)
     with pytest.raises(InvalidParameterError):
+        shard_of("tenant", 0)
+    with pytest.raises(InvalidParameterError):
         shard_ids(np.arange(4, dtype=np.uint64), -1)
+
+
+# -- string keys: the cluster's substream -> worker map ------------------------
+
+
+def test_string_keys_route_deterministically():
+    names = [f"tenant-{i}" for i in range(500)]
+    assert [shard_of(n, 4) for n in names] == [shard_of(n, 4) for n in names]
+    # Pinned owners: cluster tests that need tenants on different
+    # workers rest on these values, so a change to the map shows here.
+    keys = ("alpha", "beta", "default", "tenant-0", "shardy#2")
+    assert [shard_of(key, 4) for key in keys] == [0, 1, 1, 0, 1]
+    assert [shard_of(key, 3) for key in keys] == [0, 2, 2, 2, 2]
+
+
+def test_string_keys_seed_changes_placement():
+    names = [f"tenant-{i}" for i in range(200)]
+    assert any(shard_of(n, 4, seed=0) != shard_of(n, 4, seed=1) for n in names)
+
+
+def test_string_keys_owner_in_range():
+    for i in range(300):
+        assert 0 <= shard_of(f"t{i}", 3) < 3
+
+
+def test_string_keys_single_owner():
+    assert all(shard_of(f"t{i}", 1) == 0 for i in range(50))
+
+
+def test_string_keys_balance_within_spread():
+    counts = np.bincount([shard_of(f"tenant-{i}", 4) for i in range(4000)])
+    assert len(counts) == 4
+    for worker, count in enumerate(counts):
+        assert 400 <= count <= 2000, (worker, counts)
 
 
 # -- construction -------------------------------------------------------------
