@@ -44,8 +44,6 @@ def test_partition_rejects_bad_shard_count():
     with pytest.raises(InvalidParameterError):
         shard_of(1, 0)
     with pytest.raises(InvalidParameterError):
-        shard_of("tenant", 0)
-    with pytest.raises(InvalidParameterError):
         shard_ids(np.arange(4, dtype=np.uint64), -1)
 
 
@@ -74,6 +72,12 @@ def test_string_keys_owner_in_range():
 
 def test_string_keys_single_owner():
     assert all(shard_of(f"t{i}", 1) == 0 for i in range(50))
+
+
+def test_string_keys_reject_degenerate_owner_count():
+    for n in (0, -1):
+        with pytest.raises(InvalidParameterError):
+            shard_of("tenant", n)
 
 
 def test_string_keys_balance_within_spread():
